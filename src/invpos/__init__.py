@@ -28,7 +28,6 @@ _EXPORTS = {
         "eval_field",
         "apply_inversion",
         "apply_reflection",
-        "apply_cayley",
         "apply_region_map",
         "region_mask",
         "split_in_out",
@@ -36,7 +35,7 @@ _EXPORTS = {
         "write_field_csv",
         "read_field_csv",
     ],
-    "coverage": ["ball_coverage", "halfspace_coverage", "box_coverage", "grid_mass", "tail_mass_1d"],
+    "coverage": ["BracketingError", "ball_coverage", "halfspace_coverage", "box_coverage", "grid_mass", "tail_mass_1d"],
     "energy": [
         "EnergyResult",
         "FourierCalibration",
@@ -63,7 +62,6 @@ _EXPORTS = {
         "find_negative_defect",
     ],
     "symmetrize": [
-        "BracketingError",
         "hemiball_radius",
         "hemispace_offset",
         "symmetrization_step",

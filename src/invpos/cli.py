@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -63,17 +64,24 @@ class Verdict:
 
 
 def _check_keys(obj: dict, allowed, path: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path} must be an object")
     for key in obj:
         if key not in allowed:
             raise ConfigError(f"unknown key {path}.{key}" if path else f"unknown key {key}")
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number; true and false are rejected although bool subclasses int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _per_axis(value, dim: int, name: str, cast=float) -> list:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return [cast(value)] * dim
-    if isinstance(value, list) and len(value) == dim:
+    if isinstance(value, list) and len(value) == dim and all(_is_number(v) for v in value):
         return [cast(v) for v in value]
-    raise ConfigError(f"{name} must be a scalar or a list of {dim} entries")
+    raise ConfigError(f"{name} must be a number or a list of {dim} numbers")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -96,9 +104,9 @@ def parse_config(text: str) -> RunConfig:
     _check_keys(kernel, {"dim", "lambda"}, "kernel")
     dim = kernel.get("dim")
     lam = kernel.get("lambda")
-    if not isinstance(dim, int) or not 1 <= dim <= 3:
+    if not isinstance(dim, int) or isinstance(dim, bool) or not 1 <= dim <= 3:
         raise ConfigError("kernel.dim must be an integer in [1, 3]")
-    if not isinstance(lam, (int, float)) or not 0 < lam < dim:
+    if not _is_number(lam) or not 0 < lam < dim:
         raise ConfigError("lambda must lie in (0, N)")
 
     grid = doc.get("grid", {})
@@ -133,28 +141,43 @@ def parse_config(text: str) -> RunConfig:
                 "indicator": {"family", "lo", "hi"},
             }[fam]
             _check_keys(function, allowed, "function")
+            for key in ("alpha", "amplitude", "beta", "width"):
+                if key in function and not _is_number(function[key]):
+                    raise ConfigError(f"function.{key} must be a number")
+            for key in ("beta", "width"):
+                if key in function and not function[key] > 0:
+                    raise ConfigError(f"function.{key} must be positive")
+            for key in ("center", "lo", "hi"):
+                if key in function:
+                    _per_axis(function[key], dim, f"function.{key}")
 
     region = doc.get("region")
     if region is not None:
         if not isinstance(region, dict) or len(region) != 1:
             raise ConfigError("region must hold exactly one of: ball, halfspace")
-        kind = next(iter(region))
+        kind, params = next(iter(region.items()))
         if kind == "ball":
-            _check_keys(region["ball"], {"center", "radius"}, "region.ball")
-            if not region["ball"].get("radius", 0) > 0:
-                raise ConfigError("region.ball.radius must be positive")
+            _check_keys(params, {"center", "radius"}, "region.ball")
+            if not (_is_number(params.get("radius")) and params["radius"] > 0):
+                raise ConfigError("region.ball.radius must be a positive number")
+            if "center" in params:
+                _per_axis(params["center"], dim, "region.ball.center")
         elif kind == "halfspace":
-            _check_keys(region["halfspace"], {"normal", "offset"}, "region.halfspace")
+            _check_keys(params, {"normal", "offset"}, "region.halfspace")
+            if "normal" in params and not any(_per_axis(params["normal"], dim, "region.halfspace.normal")):
+                raise ConfigError("region.halfspace.normal must be non-zero")
+            if "offset" in params and not _is_number(params["offset"]):
+                raise ConfigError("region.halfspace.offset must be a number")
         else:
             raise ConfigError("region must hold exactly one of: ball, halfspace")
 
     tolerances = doc.get("tolerances", {})
-    if not isinstance(tolerances, dict) or not all(isinstance(v, (int, float)) for v in tolerances.values()):
+    if not isinstance(tolerances, dict) or not all(_is_number(v) for v in tolerances.values()):
         raise ConfigError("tolerances must map names to numbers")
 
     seed = doc.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
+    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool) or seed < 0):
+        raise ConfigError("seed must be a non-negative integer")
 
     return RunConfig(
         command=command,
@@ -194,17 +217,28 @@ def _build_field(cfg: RunConfig, kp, grid):
 
     fn = cfg.function or {"family": "extremizer"}
     if "file" in fn:
-        return read_field_csv(fn["file"])
-    fam = fn["family"]
-    if fam == "extremizer":
+        try:
+            f = read_field_csv(fn["file"])
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read function.file: {exc}") from exc
+    elif fn["family"] == "extremizer":
         center = fn.get("center", [0.0] * cfg.dim)
         spec = extremizer_spec(kp, alpha=fn.get("alpha", 1.0), beta=fn.get("beta", 1.0), center=np.asarray(center, dtype=float))
-        return make_extremizer(spec, kp, grid)
-    if fam == "gaussian":
-        return gaussian_field(grid, fn.get("center", [0.0] * cfg.dim), fn.get("width", 1.0), fn.get("amplitude", 1.0))
-    lo = _per_axis(fn.get("lo", -1.0), cfg.dim, "function.lo")
-    hi = _per_axis(fn.get("hi", 1.0), cfg.dim, "function.hi")
-    return Field(grid, box_coverage(grid, lo, hi).reshape(grid.shape))
+        try:
+            f = make_extremizer(spec, kp, grid)
+        except ValueError as exc:
+            raise ConfigError(f"function.center: {exc}") from exc
+    elif fn["family"] == "gaussian":
+        f = gaussian_field(grid, fn.get("center", [0.0] * cfg.dim), fn.get("width", 1.0), fn.get("amplitude", 1.0))
+    else:
+        lo = _per_axis(fn.get("lo", -1.0), cfg.dim, "function.lo")
+        hi = _per_axis(fn.get("hi", 1.0), cfg.dim, "function.hi")
+        f = Field(grid, box_coverage(grid, lo, hi).reshape(grid.shape))
+    # An all-zero field makes every energy, defect and bound 0, so each
+    # verdict would pass vacuously.
+    if not np.any(f.values):
+        raise ConfigError("function is identically zero on the grid")
+    return f
 
 
 def _build_region(cfg: RunConfig):
@@ -459,7 +493,7 @@ def run(config: RunConfig, out_dir: str, verbose: bool = False) -> int:
     """Execute one command, writing report.csv and summary.txt to out_dir."""
     from .fields import KernelParams
     from .positivity import SearchFailureError
-    from .symmetrize import BracketingError
+    from .coverage import BracketingError
 
     kp = KernelParams(dim=config.dim, lam=config.lam)
     rep = Report()
@@ -503,10 +537,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         config = parse_config(text)
+        return run(config, args.out, verbose=args.verbose)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return run(config, args.out, verbose=args.verbose)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ parameter; bisection on it converges to arbitrary tolerance.
 from __future__ import annotations
 
 import itertools
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad
@@ -17,7 +18,40 @@ from .fields import ExtremizerSpec, Grid
 SUBSAMPLE = 3
 
 
-def _sub_offsets(dim: int, h: float) -> np.ndarray:
+class BracketingError(RuntimeError):
+    """Half-mass search could not bracket the target inside the grid."""
+
+
+def bisect_increasing(
+    excess: Callable[[float], float], lo: float, hi: float, total: float, max_hi: Optional[float] = None
+) -> float:
+    """Zero of an increasing function, such as a mass minus half the total mass.
+
+    With ``max_hi`` set, hi first doubles until excess(hi) >= 0, and
+    BracketingError is raised once hi passes max_hi; without it [lo, hi] is
+    taken as a bracket and hi is never evaluated.  At most 120 halvings
+    follow, stopping when |excess| < 1e-9 total or the bracket is narrower
+    than 1e-14 max(1, |hi|).
+    """
+    if max_hi is not None:
+        while excess(hi) < 0:
+            hi *= 2.0
+            if hi > max_hi:
+                raise BracketingError(f"could not bracket half the mass below {max_hi:.6g}")
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        e = excess(mid)
+        if abs(e) < 1e-9 * total or hi - lo < 1e-14 * max(1.0, abs(hi)):
+            return mid
+        if e < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def sub_offsets(dim: int, h: float) -> np.ndarray:
+    """Offsets of the SUBSAMPLE^dim subsample points from a cell center."""
     steps = (np.arange(SUBSAMPLE) - (SUBSAMPLE - 1) / 2.0) * (h / SUBSAMPLE)
     combos = list(itertools.product(steps, repeat=dim))
     return np.asarray(combos)
@@ -33,7 +67,7 @@ def ball_coverage(grid: Grid, center, radius: float) -> np.ndarray:
     cov[d <= radius - half_diag] = 1.0
     boundary = np.abs(d - radius) < half_diag
     if np.any(boundary):
-        offs = _sub_offsets(grid.dim, h)
+        offs = sub_offsets(grid.dim, h)
         sub = pts[boundary][:, None, :] + offs[None, :, :]
         dsub = np.linalg.norm(sub - np.atleast_1d(center), axis=-1)
         ramp = np.clip((radius - dsub) / (h / SUBSAMPLE) + 0.5, 0.0, 1.0)
@@ -51,7 +85,7 @@ def halfspace_coverage(grid: Grid, normal, offset: float) -> np.ndarray:
     cov[s >= half_diag] = 1.0
     boundary = np.abs(s) < half_diag
     if np.any(boundary):
-        offs = _sub_offsets(grid.dim, h)
+        offs = sub_offsets(grid.dim, h)
         ssub = (pts[boundary][:, None, :] + offs[None, :, :]) @ np.atleast_1d(normal) - offset
         ramp = np.clip(ssub / (h / SUBSAMPLE) + 0.5, 0.0, 1.0)
         cov[boundary] = ramp.mean(axis=1)

@@ -116,14 +116,35 @@ def _offset_kernel(shape, spacing: float, lam: float) -> np.ndarray:
     return kern * spacing ** (-lam)
 
 
-def _pair_sum(fv: np.ndarray, gv: np.ndarray, spacing: float, lam: float) -> float:
-    shape = fv.shape
-    dim = fv.ndim
-    kern = _offset_kernel(shape, spacing, lam)
-    conv = fftconvolve(fv, kern, mode="full")
-    sl = tuple(slice(n - 1, 2 * n - 1) for n in shape)
-    off_diag = float(np.sum(gv * conv[sl])) * spacing ** (2 * dim)
-    diag = float(np.sum(fv * gv)) * _diag_cell_constant(dim, lam) * spacing ** (2 * dim - lam)
+def convolve_window(values: np.ndarray, kern: np.ndarray) -> np.ndarray:
+    """sum_j kern[i - j + n - 1] values[j] at every index i of ``values``.
+
+    ``kern`` holds 2n - 1 entries on each axis where ``values`` holds n, so
+    every offset i - j between two cells has an entry.
+    """
+    conv = fftconvolve(values, kern, mode="full")
+    return conv[tuple(slice(n - 1, 2 * n - 1) for n in values.shape)]
+
+
+def richardson(quadrature: str, evaluate, *fields: Field) -> EnergyResult:
+    """evaluate(*fields) with the change on factor-2 coarsened fields as error.
+
+    When a grid is too small to coarsen, the estimate falls back to 1% of
+    the value.
+    """
+    value = evaluate(*fields)
+    try:
+        est = abs(value - evaluate(*(coarsen(f) for f in fields)))
+    except ValueError:
+        est = abs(value) * 1e-2
+    return EnergyResult(value=value, quadrature=quadrature, est_error=est)
+
+
+def _pair_sum(f: Field, g: Field, lam: float) -> float:
+    spacing, dim = f.grid.spacing, f.dim
+    conv = convolve_window(f.values, _offset_kernel(f.grid.shape, spacing, lam))
+    off_diag = float(np.sum(g.values * conv)) * spacing ** (2 * dim)
+    diag = float(np.sum(f.values * g.values)) * _diag_cell_constant(dim, lam) * spacing ** (2 * dim - lam)
     return off_diag + diag
 
 
@@ -135,27 +156,16 @@ def energy_direct(f: Field, g: Field, kp: KernelParams) -> EnergyResult:
     """
     if f.grid != g.grid:
         raise ValueError("energy_direct requires f and g on the same grid")
-    fv, gv = f.values, g.values
     # Canonical argument order makes energy(f, g) == energy(g, f) exactly.
-    if fv.tobytes() > gv.tobytes():
-        fv, gv = gv, fv
-    value = _pair_sum(fv, gv, f.grid.spacing, kp.lam)
-    try:
-        fc, gc = coarsen(Field(f.grid, fv)), coarsen(Field(f.grid, gv))
-        coarse = _pair_sum(fc.values, gc.values, fc.grid.spacing, kp.lam)
-        est = abs(value - coarse)
-    except ValueError:
-        est = abs(value) * 1e-2
-    return EnergyResult(value=value, quadrature="direct", est_error=est)
+    if f.values.tobytes() > g.values.tobytes():
+        f, g = g, f
+    return richardson("direct", lambda a, b: _pair_sum(a, b, kp.lam), f, g)
 
 
 def riesz_potential(f: Field, kp: KernelParams) -> np.ndarray:
     """(|x|^-lambda * f) at the cell centers, with self-cell correction."""
     g = f.grid
-    kern = _offset_kernel(g.shape, g.spacing, kp.lam)
-    conv = fftconvolve(f.values, kern, mode="full")
-    sl = tuple(slice(n - 1, 2 * n - 1) for n in g.shape)
-    pot = conv[sl] * g.spacing**g.dim
+    pot = convolve_window(f.values, _offset_kernel(g.shape, g.spacing, kp.lam)) * g.spacing**g.dim
     pot = pot + f.values * _diag_cell_constant(g.dim, kp.lam) * g.spacing ** (g.dim - kp.lam)
     return pot
 
@@ -174,7 +184,8 @@ def _radial_kernel(r, s, kp: KernelParams):
     raise ValueError("radial reduction implemented for N = 1 and N = 3 only")
 
 
-def _radial_pair_sum(rv, fv, gv, dr, kp: KernelParams) -> float:
+def _radial_pair_sum(fr: Field, gr: Field, kp: KernelParams) -> float:
+    rv, dr = fr.grid.axis_centers(0), fr.grid.spacing
     rr, ss = np.meshgrid(rv, rv, indexing="ij")
     mat = np.zeros_like(rr)
     off = ~np.eye(len(rv), dtype=bool)
@@ -187,7 +198,7 @@ def _radial_pair_sum(rv, fv, gv, dr, kp: KernelParams) -> float:
         kr = _radial_kernel(ru[:, None], su[None, :], kp)
         cell = 0.25 * wu @ kr @ wv  # mean over the cell
         mat[i, i] = cell
-    return float(fv @ mat @ gv) * dr * dr
+    return float(fr.values @ mat @ gr.values) * dr * dr
 
 
 def energy_radial(fr: Field, gr: Field, kp: KernelParams) -> EnergyResult:
@@ -202,17 +213,7 @@ def energy_radial(fr: Field, gr: Field, kp: KernelParams) -> EnergyResult:
         raise ValueError("profiles must share a one-dimensional radial grid")
     if abs(fr.grid.lo[0]) > 1e-12:
         raise ValueError("radial grid must start at r = 0")
-    rv = fr.grid.axis_centers(0)
-    dr = fr.grid.spacing
-    value = _radial_pair_sum(rv, fr.values, gr.values, dr, kp)
-    try:
-        fc, gc = coarsen(fr), coarsen(gr)
-        rc = fc.grid.axis_centers(0)
-        coarse = _radial_pair_sum(rc, fc.values, gc.values, fc.grid.spacing, kp)
-        est = abs(value - coarse)
-    except ValueError:
-        est = abs(value) * 1e-2
-    return EnergyResult(value=value, quadrature="radial", est_error=est)
+    return richardson("radial", lambda a, b: _radial_pair_sum(a, b, kp), fr, gr)
 
 
 def sharp_constant(kp: KernelParams) -> float:

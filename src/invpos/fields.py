@@ -9,13 +9,13 @@ when a conformal map sends sample points outside the grid's bounding box.
 from __future__ import annotations
 
 import itertools
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import least_squares
 
-from .geometry import Ball, HalfSpace, cayley_point, cayley_singular_point, invert_point, reflect_point
+from .geometry import Ball, HalfSpace, invert_point, reflect_point
 
 
 @dataclass(frozen=True)
@@ -136,6 +136,24 @@ class ExtremizerSpec:
         return self.alpha * (self.beta + d2) ** (-self.power)
 
 
+def fit_family(values: np.ndarray, pts: np.ndarray, power: float, alpha0: float, beta0: float, center0, max_nfev: int) -> tuple:
+    """Levenberg-Marquardt fit of alpha (beta + |x - center|^2)^(-power) to samples.
+
+    ``values`` are taken at the points ``pts``; the fit runs over log alpha,
+    log beta and the center, with residuals scaled by max |values|.  Returns
+    (alpha, beta, center).
+    """
+    scale = np.max(np.abs(values))
+
+    def resid(params):
+        d2 = np.sum((pts - params[2:]) ** 2, axis=-1)
+        return (np.exp(params[0]) * (np.exp(params[1]) + d2) ** (-power) - values) / scale
+
+    x0 = np.concatenate([[np.log(alpha0), np.log(beta0)], center0])
+    sol = least_squares(resid, x0, method="lm", max_nfev=max_nfev)
+    return float(np.exp(sol.x[0])), float(np.exp(sol.x[1])), sol.x[2:]
+
+
 @dataclass(frozen=True)
 class Field:
     """Values sampled at the cell centers of a grid, plus an optional tail."""
@@ -153,9 +171,6 @@ class Field:
     @property
     def dim(self) -> int:
         return self.grid.dim
-
-    def with_values(self, values, keep_tail: bool = False) -> "Field":
-        return Field(self.grid, values, tail=self.tail if keep_tail else None)
 
 
 def make_extremizer(spec: ExtremizerSpec, kp: KernelParams, grid: Grid) -> Field:
@@ -214,13 +229,6 @@ def eval_field(f: Field, pts) -> np.ndarray:
     return out[0] if squeeze else out
 
 
-def _conformal_pullback(f: Field, kp: KernelParams, mapped_pts, weight, mask=None) -> Field:
-    vals = weight * eval_field(f, mapped_pts)
-    if mask is not None:
-        vals = np.where(mask, 0.0, vals)
-    return Field(f.grid, vals.reshape(f.grid.shape))
-
-
 def apply_inversion(b: Ball, f: Field, kp: KernelParams) -> Field:
     """Lifted inversion (r/|x-a|)^(2N-lambda) f(Theta_B(x)) on f's grid.
 
@@ -234,26 +242,14 @@ def apply_inversion(b: Ball, f: Field, kp: KernelParams) -> Field:
     safe_pts = np.where(mask[:, None], pts + 2.0 * b.radius, pts)
     mapped = invert_point(b, safe_pts)
     weight = (b.radius / d_safe) ** kp.lift_power
-    return _conformal_pullback(f, kp, mapped, weight, mask)
+    vals = np.where(mask, 0.0, weight * eval_field(f, mapped))
+    return Field(f.grid, vals.reshape(f.grid.shape))
 
 
 def apply_reflection(h: HalfSpace, f: Field) -> Field:
     """Lifted reflection f(Theta_H(x)) on f's grid."""
     mapped = reflect_point(h, f.grid.points())
     return Field(f.grid, eval_field(f, mapped).reshape(f.grid.shape))
-
-
-def apply_cayley(f: Field, kp: KernelParams) -> Field:
-    """Lifted Cayley-type map (sqrt(2)/|x-e|)^(2N-lambda) f(B(x))."""
-    pts = f.grid.points()
-    e = cayley_singular_point(f.dim)
-    d = np.linalg.norm(pts - e, axis=-1)
-    mask = d < 0.5 * f.grid.spacing
-    safe_pts = np.where(mask[:, None], pts + 2.0, pts)
-    mapped = cayley_point(safe_pts)
-    d_safe = np.where(mask, 1.0, d)
-    weight = (np.sqrt(2.0) / d_safe) ** kp.lift_power
-    return _conformal_pullback(f, kp, mapped, weight, mask)
 
 
 def region_mask(region, grid: Grid) -> np.ndarray:
@@ -270,27 +266,18 @@ def apply_region_map(region, f: Field, kp: KernelParams) -> Field:
 
 
 def split_in_out(region, f: Field, kp: KernelParams) -> tuple:
-    """Inside/outside splices f^i, f^o of f with its conformal image.
+    """Inside/outside splices of f with its conformal image: (f^i, f^o, Theta f, inside).
 
     f^i keeps f inside the region and the lifted image outside; f^o is the
-    complement.  A warning is emitted if the region does not bisect the
-    |f|^p mass, in which case the splices no longer preserve the p-norm.
+    complement; ``inside`` is the boolean mask of cell centers in the region.
+    The splices preserve the p-norm only when the region bisects the |f|^p
+    mass.
     """
     theta_f = apply_region_map(region, f, kp)
     inside = region_mask(region, f.grid)
     fi = Field(f.grid, np.where(inside, f.values, theta_f.values))
     fo = Field(f.grid, np.where(inside, theta_f.values, f.values))
-    mass = np.abs(f.values) ** kp.p
-    total = mass.sum()
-    if total > 0:
-        imbalance = abs(mass[inside].sum() / total - 0.5)
-        if imbalance > 1e-3:
-            warnings.warn(
-                f"region misses the |f|^p mass median by {imbalance:.2e} of total; "
-                "splices will not preserve the p-norm",
-                stacklevel=2,
-            )
-    return fi, fo
+    return fi, fo, theta_f, inside
 
 
 def coarsen(f: Field, factor: int = 2) -> Field:

@@ -8,17 +8,15 @@ the signature of the invariant family alpha (beta + |x - y|^2)^(-N).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-from scipy.optimize import least_squares
 
-from .coverage import SUBSAMPLE, ball_coverage, grid_mass, halfspace_coverage, tail_mass_1d
-from .fields import Ball, ExtremizerSpec, Field, HalfSpace, KernelParams, eval_field
+from .coverage import BracketingError, bisect_increasing, sub_offsets
+from .coverage import ball_coverage, grid_mass, halfspace_coverage, tail_mass_1d
+from .fields import Ball, Field, HalfSpace, eval_field, fit_family
 from .geometry import invert_point, reflect_point
-from .symmetrize import BracketingError
 
 
 @dataclass(frozen=True)
@@ -124,8 +122,7 @@ def pushforward_mass(m: Measure, region, target) -> float:
     f = m.density
     g = f.grid
     pts = g.points()
-    steps = (np.arange(SUBSAMPLE) - (SUBSAMPLE - 1) / 2.0) * (g.spacing / SUBSAMPLE)
-    offs = np.asarray(list(itertools.product(steps, repeat=g.dim)))
+    offs = sub_offsets(g.dim, g.spacing)
     acc = np.zeros(len(pts))
     for off in offs:
         mapped = themap(pts + off)
@@ -144,32 +141,13 @@ class HemiBallResult:
 def _half_mass_ball_on_ray(m: Measure, e: np.ndarray, u: float) -> HemiBallResult:
     """Bisection over rho on the monotone map rho -> mu(B_rho((u - rho) e))."""
     total = m.total_mass
-    half = 0.5 * total
 
-    def mass(rho: float) -> float:
-        return m.mass_in_ball(Ball(center=(u - rho) * e, radius=rho))
+    def excess(rho: float) -> float:
+        return m.mass_in_ball(Ball(center=(u - rho) * e, radius=rho)) - 0.5 * total
 
-    lo, hi = 1e-12, max(u, 1.0)
-    tries = 0
-    while mass(hi) < half:
-        hi *= 2.0
-        tries += 1
-        if tries > 60:
-            raise BracketingError("could not bracket the half-mass radius")
-    rho = hi
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        v = mass(mid)
-        if abs(v - half) < 1e-9 * total:
-            rho = mid
-            break
-        if v < half:
-            lo = mid
-        else:
-            hi = mid
-        rho = 0.5 * (lo + hi)
-    imb = mass(rho) - half
-    return HemiBallResult(center=(u - rho) * e, radius=rho, mass_imbalance=imb)
+    hi = max(u, 1.0)
+    rho = bisect_increasing(excess, 1e-12, hi, total, max_hi=hi * 2.0**60)
+    return HemiBallResult(center=(u - rho) * e, radius=rho, mass_imbalance=excess(rho))
 
 
 def hemiball_on_ray(m: Measure, e, u: float) -> HemiBallResult:
@@ -255,6 +233,15 @@ def check_pointwise_invariance(v: Field, b: Ball) -> float:
     return float(dev.max())
 
 
+def _hemiball_radius_at(m: Measure, a: np.ndarray, total: float) -> float:
+    """Radius of the ball centered at a that holds mass total / 2 of m."""
+
+    def excess(r: float) -> float:
+        return m.mass_in_ball(Ball(center=a, radius=r)) - 0.5 * total
+
+    return bisect_increasing(excess, 1e-12, 1.0, total, max_hi=1e9)
+
+
 def check_mass_identity(v: Field, centers) -> float:
     """Coefficient of variation of r_a^(2N) v(a) over the given centers.
 
@@ -266,25 +253,7 @@ def check_mass_identity(v: Field, centers) -> float:
     vals = []
     for a in centers:
         a = np.atleast_1d(np.asarray(a, dtype=float))
-
-        def mass(r: float) -> float:
-            return m.mass_in_ball(Ball(center=a, radius=r))
-
-        lo, hi = 1e-12, 1.0
-        while mass(hi) < 0.5 * total:
-            hi *= 2.0
-            if hi > 1e9:
-                raise BracketingError("hemi-ball radius bracketing failed")
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            mm = mass(mid)
-            if abs(mm - 0.5 * total) < 1e-9 * total:
-                break
-            if mm < 0.5 * total:
-                lo = mid
-            else:
-                hi = mid
-        r_a = mid
+        r_a = _hemiball_radius_at(m, a, total)
         va = float(eval_field(v, a))
         vals.append(r_a ** (2 * v.dim) * va)
     vals = np.asarray(vals)
@@ -346,35 +315,9 @@ def fit_invariant_density(v: Field) -> InvariantDensityFit:
     peak_frac = float(vals.max()) * g.cell_volume() / total
     diverges = peak_frac > 0.05
     center0 = (vals @ pts) / vals.sum()
-    m = Measure(density=v)
-
-    def mass(r: float) -> float:
-        return m.mass_in_ball(Ball(center=center0, radius=r))
-
-    lo, hi = 1e-12, 1.0
-    while mass(hi) < 0.5 * total and hi < 1e9:
-        hi *= 2.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mass(mid) < 0.5 * total:
-            lo = mid
-        else:
-            hi = mid
-    beta0 = max(0.5 * (lo + hi), 1e-6) ** 2
+    beta0 = max(_hemiball_radius_at(Measure(density=v), center0, total), 1e-6) ** 2
     alpha0 = max(float(vals.max()), 1e-300) * beta0**n
-    scale = float(vals.max())
-
-    def resid(params):
-        la, lb = params[0], params[1]
-        c = params[2:]
-        d2 = np.sum((pts - c) ** 2, axis=-1)
-        return (np.exp(la) * (np.exp(lb) + d2) ** (-n) - vals) / scale
-
-    x0 = np.concatenate([[np.log(alpha0), np.log(beta0)], center0])
-    sol = least_squares(resid, x0, method="lm", max_nfev=500)
-    alpha = float(np.exp(sol.x[0]))
-    beta = float(np.exp(sol.x[1]))
-    center = sol.x[2:]
+    alpha, beta, center = fit_family(vals, pts, n, alpha0, beta0, center0, max_nfev=500)
     if not np.isfinite(alpha) or not np.isfinite(beta):
         raise RuntimeError("degenerate invariant-density fit")
     d2 = np.sum((pts - center) ** 2, axis=-1)

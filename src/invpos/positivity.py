@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
 from scipy.special import gamma, gammaln
 
 from .coverage import ball_coverage, grid_mass
-from .energy import EnergyResult, energy_direct
-from .fields import Ball, Field, Grid, HalfSpace, KernelParams, apply_region_map, box_grid, coarsen, region_mask
+from .energy import EnergyResult, convolve_window, energy_direct, richardson
+from .fields import Field, Grid, HalfSpace, KernelParams, apply_region_map, box_grid, coarsen, split_in_out
 
 
 class SearchFailureError(RuntimeError):
@@ -37,10 +36,7 @@ class PositivityReport:
 
 def _defect_core(region, f: Field, kp: KernelParams) -> tuple:
     """(defect, g-form value, g-field) of f against the region at one resolution."""
-    theta_f = apply_region_map(region, f, kp)
-    inside = region_mask(region, f.grid)
-    fi = Field(f.grid, np.where(inside, f.values, theta_f.values))
-    fo = Field(f.grid, np.where(inside, theta_f.values, f.values))
+    fi, fo, theta_f, inside = split_in_out(region, f, kp)
     e_f = energy_direct(f, f, kp)
     e_i = energy_direct(fi, fi, kp)
     e_o = energy_direct(fo, fo, kp)
@@ -365,19 +361,10 @@ def reflected_energy(f: Field, g: Field, kp: KernelParams) -> EnergyResult:
         _check_halfspace_support(g)
 
     def compute(ff: Field, gg: Field) -> float:
-        kern = _reflected_kernel(ff.grid, kp.lam)
-        ffl = np.flip(ff.values, axis=-1)
-        conv = fftconvolve(ffl, kern, mode="full")
-        sl = tuple(slice(n - 1, 2 * n - 1) for n in ff.grid.shape)
-        return float(np.sum(gg.values * conv[sl])) * ff.grid.spacing ** (2 * ff.dim)
+        conv = convolve_window(np.flip(ff.values, axis=-1), _reflected_kernel(ff.grid, kp.lam))
+        return float(np.sum(gg.values * conv)) * ff.grid.spacing ** (2 * ff.dim)
 
-    value = compute(f, g)
-    try:
-        coarse = compute(coarsen(f), coarsen(g))
-        est = abs(value - coarse)
-    except ValueError:
-        est = abs(value) * 1e-2
-    return EnergyResult(value=value, quadrature="direct", est_error=est)
+    return richardson("direct", compute, f, g)
 
 
 # --- the paper's two boundary examples ---

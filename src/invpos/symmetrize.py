@@ -8,49 +8,33 @@ centroid-offset balls); a seeded random schedule is available via config.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-from scipy.optimize import least_squares
 
-from .coverage import ball_coverage, grid_mass, halfspace_coverage, tail_mass_1d
+from .coverage import BracketingError, ball_coverage, bisect_increasing, grid_mass, halfspace_coverage, tail_mass_1d
 from .energy import energy_direct
-from .fields import (
-    Ball,
-    ExtremizerSpec,
-    Field,
-    HalfSpace,
-    KernelParams,
-    apply_region_map,
-    lp_norm,
-    region_mask,
-)
-
-
-class BracketingError(RuntimeError):
-    """Half-mass search could not bracket the target inside the grid."""
+from .fields import Ball, ExtremizerSpec, Field, HalfSpace, KernelParams, fit_family, lp_norm, split_in_out
 
 
 def _mass_density(f: Field, kp: KernelParams) -> np.ndarray:
     return np.abs(f.values) ** kp.p
 
 
-def _mass_tail_spec(f: Field, kp: KernelParams) -> Optional[ExtremizerSpec]:
-    # |f|^p of an extremizer tail is again a family member, with power N.
-    if f.tail is None or f.dim != 1:
-        return None
-    t = f.tail
-    return ExtremizerSpec(alpha=abs(t.alpha) ** kp.p, beta=t.beta, center=t.center, power=kp.p * t.power)
-
-
-def _total_mass(f: Field, kp: KernelParams) -> float:
-    total = grid_mass(f.grid, _mass_density(f, kp))
-    tail = _mass_tail_spec(f, kp)
-    if tail is not None:
+def _mass_parts(f: Field, kp: KernelParams) -> tuple:
+    """|f|^p on the grid, its analytic 1-D tail (or None) and the total mass."""
+    dens = _mass_density(f, kp)
+    total = grid_mass(f.grid, dens)
+    tail = None
+    if f.tail is not None and f.dim == 1:
+        # |f|^p of an extremizer tail is again a family member, with power N.
+        t = f.tail
+        tail = ExtremizerSpec(alpha=abs(t.alpha) ** kp.p, beta=t.beta, center=t.center, power=kp.p * t.power)
         total += tail_mass_1d(tail, f.grid)
-    return total
+    if total <= 0:
+        raise ValueError("zero field has no half-mass region")
+    return dens, tail, total
 
 
 def hemiball_radius(f: Field, kp: KernelParams, a) -> float:
@@ -60,67 +44,36 @@ def hemiball_radius(f: Field, kp: KernelParams, a) -> float:
     imbalance at most 1e-6 of the total mass.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    dens = _mass_density(f, kp)
-    total = _total_mass(f, kp)
-    if total <= 0:
-        raise ValueError("zero field has no hemi-ball")
-    tail = _mass_tail_spec(f, kp)
+    dens, tail, total = _mass_parts(f, kp)
 
-    def mass(r: float) -> float:
+    def excess(r: float) -> float:
         m = grid_mass(f.grid, dens, ball_coverage(f.grid, a, r))
         if tail is not None:
             m += tail_mass_1d(tail, f.grid, within=(a[0] - r, a[0] + r))
-        return m
+        return m - 0.5 * total
 
-    lo, hi = 0.0, f.grid.spacing
     span = float(np.max(f.grid.hi - f.grid.lo))
-    while mass(hi) < 0.5 * total:
-        hi *= 2.0
-        if hi > 64.0 * span:
-            raise BracketingError("grid too small to contain half the |f|^p mass")
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        m = mass(mid)
-        if abs(m - 0.5 * total) < 1e-9 * total or hi - lo < 1e-14 * max(1.0, hi):
-            return mid
-        if m < 0.5 * total:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect_increasing(excess, 0.0, f.grid.spacing, total, max_hi=64.0 * span)
 
 
 def hemispace_offset(f: Field, kp: KernelParams, e) -> float:
     """Offset t with int_{x.e > t} |f|^p = half the total |f|^p mass."""
     e = np.atleast_1d(np.asarray(e, dtype=float))
     e = e / np.linalg.norm(e)
-    dens = _mass_density(f, kp)
-    total = _total_mass(f, kp)
-    if total <= 0:
-        raise ValueError("zero field has no hemi-space")
-    tail = _mass_tail_spec(f, kp)
+    dens, tail, total = _mass_parts(f, kp)
 
-    def mass_above(t: float) -> float:
+    def excess(t: float) -> float:
+        # Half the total minus the mass above t, which increases with t.
         m = grid_mass(f.grid, dens, halfspace_coverage(f.grid, e, t))
         if tail is not None:
             if e[0] > 0:
                 m += tail_mass_1d(tail, f.grid, within=(t, np.inf))
             else:
                 m += tail_mass_1d(tail, f.grid, within=(-np.inf, -t))
-        return m
+        return 0.5 * total - m
 
     proj = f.grid.points() @ e
-    lo, hi = float(proj.min()) - f.grid.spacing, float(proj.max()) + f.grid.spacing
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        m = mass_above(mid)
-        if abs(m - 0.5 * total) < 1e-9 * total or hi - lo < 1e-14 * max(1.0, abs(hi)):
-            return mid
-        if m > 0.5 * total:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect_increasing(excess, float(proj.min()) - f.grid.spacing, float(proj.max()) + f.grid.spacing, total)
 
 
 @dataclass(frozen=True)
@@ -134,10 +87,7 @@ class StepRecord:
 
 def symmetrization_step(f: Field, kp: KernelParams, region) -> tuple:
     """Replace f by the better of the two splices against the region."""
-    theta_f = apply_region_map(region, f, kp)
-    inside = region_mask(region, f.grid)
-    fi = Field(f.grid, np.where(inside, f.values, theta_f.values))
-    fo = Field(f.grid, np.where(inside, theta_f.values, f.values))
+    fi, fo, _, _ = split_in_out(region, f, kp)
     e_f = energy_direct(f, f, kp)
     e_i = energy_direct(fi, fi, kp)
     e_o = energy_direct(fo, fo, kp)
@@ -195,40 +145,18 @@ def fit_extremizer(f: Field, kp: KernelParams) -> ExtremizerFit:
     """
     y0 = _centroid(f, kp)
     r_half = hemiball_radius(f, kp, y0)
-    # For the model, |f|^p is proportional to (beta + d^2)^(-N); its
-    # half-mass radius scales as sqrt(beta) times the unit-beta radius.
-    beta0 = max(r_half / _unit_half_mass_radius(kp.dim), 1e-3) ** 2
+    # For the model, |f|^p is proportional to (beta + d^2)^(-N); the unit
+    # sphere exchanges ball and complement of (1 + |x|^2)^(-N) with equal
+    # mass, so the half-mass radius is sqrt(beta).
+    beta0 = max(r_half, 1e-3) ** 2
     power = kp.lift_power / 2.0
     alpha0 = float(np.max(f.values)) * beta0**power
     pts = f.grid.points()
-    fv = f.values.ravel()
-    scale = np.max(np.abs(fv))
-
-    def resid(params):
-        log_alpha, log_beta = params[0], params[1]
-        center = params[2:]
-        d2 = np.sum((pts - center) ** 2, axis=-1)
-        model = np.exp(log_alpha) * (np.exp(log_beta) + d2) ** (-power)
-        return (model - fv) / scale
-
-    x0 = np.concatenate([[np.log(max(alpha0, 1e-12)), np.log(beta0)], y0])
-    sol = least_squares(resid, x0, method="lm", max_nfev=400)
-    alpha = float(np.exp(sol.x[0]))
-    beta = float(np.exp(sol.x[1]))
-    center = sol.x[2:]
+    alpha, beta, center = fit_family(f.values.ravel(), pts, power, max(alpha0, 1e-12), beta0, y0, max_nfev=400)
     model = Field(f.grid, (alpha * (beta + np.sum((pts - center) ** 2, axis=-1)) ** (-power)).reshape(f.grid.shape))
     diff = Field(f.grid, model.values - f.values)
     err = lp_norm(diff, kp.p) / lp_norm(f, kp.p)
     return ExtremizerFit(alpha=alpha, beta=beta, center=center, fit_error=float(err))
-
-
-def _unit_half_mass_radius(dim: int) -> float:
-    """Half-mass radius of (1 + |x|^2)^(-N).
-
-    The unit sphere exchanges ball and complement for this density with
-    equal mass, so the half-mass radius is 1 in every dimension.
-    """
-    return 1.0
 
 
 def run_symmetrization(f0: Field, kp: KernelParams, config: Optional[SymmetrizationConfig] = None) -> SymmetrizationTrace:
@@ -274,18 +202,16 @@ def run_symmetrization(f0: Field, kp: KernelParams, config: Optional[Symmetrizat
                     regions.append(("ball", c))
         sweep_start_q = None
         for kind, param in regions:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                if kind == "space":
-                    t = hemispace_offset(f, kp, param)
-                    region = HalfSpace(param, t)
-                else:
-                    try:
-                        r = hemiball_radius(f, kp, param)
-                    except BracketingError:
-                        continue
-                    region = Ball(param, r)
-                f, rec = symmetrization_step(f, kp, region)
+            if kind == "space":
+                t = hemispace_offset(f, kp, param)
+                region = HalfSpace(param, t)
+            else:
+                try:
+                    r = hemiball_radius(f, kp, param)
+                except BracketingError:
+                    continue
+                region = Ball(param, r)
+            f, rec = symmetrization_step(f, kp, region)
             trace.steps.append(rec)
             if sweep_start_q is None:
                 sweep_start_q = rec.quotient_before

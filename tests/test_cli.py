@@ -222,3 +222,39 @@ def test_file_backed_function_round_trip(tmp_path):
         )
     )
     assert run(cfg, str(tmp_path)) == EXIT_PASS
+
+
+_SMALL = {"command": "energy", "kernel": {"dim": 1, "lambda": 0.5}, "grid": {"min": -8, "max": 8, "points": 16}}
+_SMALL_2D = dict(_SMALL, command="positivity", kernel={"dim": 2, "lambda": 1.0})
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param(dict(_SMALL, command="positivity"), id="positivity-without-region"),
+        pytest.param(dict(_SMALL_2D, grid={"min": -8, "max": [8, 4], "points": 16}), id="unequal-spacing"),
+        pytest.param(dict(_SMALL, function={"file": "no-such-field.csv"}), id="missing-function-file"),
+        pytest.param(dict(_SMALL_2D, region={"halfspace": {"normal": [0, 0]}}), id="zero-normal"),
+        pytest.param(dict(_SMALL_2D, region={"ball": 5}), id="ball-not-an-object"),
+        pytest.param(dict(_SMALL, function={"family": "extremizer", "center": [20.0]}), id="center-outside-grid"),
+        pytest.param(dict(_SMALL, kernel={"dim": True, "lambda": 0.5}), id="bool-dim"),
+        pytest.param(dict(_SMALL, kernel={"dim": 2, "lambda": True}), id="bool-lambda"),
+        pytest.param(dict(_SMALL, grid={"min": -8, "max": True, "points": 16}), id="bool-grid-max"),
+        pytest.param(dict(_SMALL_2D, grid={"min": [True, -8], "max": 8, "points": 16}), id="bool-grid-min"),
+        pytest.param(dict(_SMALL, tolerances={"rel_tol": True}), id="bool-tolerance"),
+        pytest.param(dict(_SMALL, seed=True), id="bool-seed"),
+        pytest.param(dict(_SMALL, function={"family": "gaussian", "width": 0}), id="zero-width"),
+        pytest.param(dict(_SMALL, function={"family": "indicator", "lo": 20, "hi": 30}), id="zero-field"),
+    ],
+)
+def test_config_faults_exit_two_without_traceback(tmp_path, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "invpos.cli", "--config", str(cfg), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error:") and proc.stderr.count("\n") == 1, proc.stderr
