@@ -252,6 +252,9 @@ def _build_region(cfg: RunConfig):
     if kind == "ball":
         return Ball(center=np.asarray(params.get("center", [0.0] * cfg.dim), dtype=float), radius=float(params["radius"]))
     normal = np.asarray(params.get("normal", [0.0] * (cfg.dim - 1) + [1.0]), dtype=float)
+    # Scaled to its largest entry first, so that a huge normal cannot
+    # overflow the norm.
+    normal = normal / np.max(np.abs(normal))
     normal = normal / np.linalg.norm(normal)
     return HalfSpace(normal=normal, offset=float(params.get("offset", 0.0)))
 
@@ -369,8 +372,13 @@ def _cmd_represent(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
 
     grid = _build_grid(cfg)
     f = _build_field(cfg, kp, grid)
-    value = halfspace_representation(f, kp)
-    direct = reflected_energy(f, f, kp)
+    # The oracle's input conditions (support in x_N >= 0; separable and
+    # radial in x' for N >= 2) are conditions on the configured field.
+    try:
+        value = halfspace_representation(f, kp)
+        direct = reflected_energy(f, f, kp)
+    except ValueError as exc:
+        raise ConfigError(f"represent: {exc}") from exc
     rep.add("representation", value)
     rep.add("direct", direct.value)
     rep.add("direct_est_error", direct.est_error)
@@ -425,6 +433,8 @@ def _cmd_lizhu_check(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
 
     grid = _build_grid(cfg)
     v = _build_field(cfg, kp, grid)
+    if np.any(v.values < 0):
+        raise ConfigError("lizhu-check needs a non-negative density")
     fit = fit_invariant_density(v)
     rep.add("fit_error", fit.fit_error)
     rep.add("fit_alpha", fit.alpha)

@@ -3,8 +3,11 @@
 The double midpoint sum over a uniform grid is a discrete convolution in the
 index offset, so it is evaluated with an FFT at O(M log M) cost; the result
 is identical (to rounding) to the literal O(M^2) pair loop with a fixed
-traversal order.  The singular self-cell is handled by the exact cell-cell
-integral (closed form in 1D, a fixed local product rule in 2D/3D).
+traversal order.  The transformed offset kernel depends only on the grid
+shape, spacing and lambda, so a small cache keeps the last few spectra and
+repeated energies on one grid pay for one kernel build.  The singular
+self-cell is handled by the exact cell-cell integral (closed form in 1D, a
+fixed local product rule in 2D/3D).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sfft
 from scipy.special import gammaln
 
 from .fields import Field, KernelParams, coarsen, lp_norm
@@ -63,20 +66,17 @@ def _cell_pair_constant(dim: int, lam: float, offset) -> float:
     """Average of |u - v + offset|^(-lam) over u, v in the unit cell.
 
     Gauss-Legendre product rule with different orders for u and v, so nodes
-    never coincide on the integrable singularity of touching cells.
+    never coincide on the integrable singularity of touching cells.  The
+    squared distance is a sum over axes, so it is built from the 8 x 9
+    node-pair differences of each axis, broadcast to 72^N pairs.
     """
     xu, wu = np.polynomial.legendre.leggauss(8)
     xv, wv = np.polynomial.legendre.leggauss(9)
-    xu, wu = 0.5 * (xu + 1.0), 0.5 * wu
-    xv, wv = 0.5 * (xv + 1.0), 0.5 * wv
-    grids_u = np.meshgrid(*([xu] * dim), indexing="ij")
-    grids_v = np.meshgrid(*([xv] * dim), indexing="ij")
-    u = np.stack([g.ravel() for g in grids_u], axis=-1)
-    v = np.stack([g.ravel() for g in grids_v], axis=-1)
-    w_u = np.prod(np.meshgrid(*([wu] * dim), indexing="ij"), axis=0).ravel()
-    w_v = np.prod(np.meshgrid(*([wv] * dim), indexing="ij"), axis=0).ravel()
-    d = np.linalg.norm(u[:, None, :] - v[None, :, :] + np.asarray(offset, dtype=float), axis=-1)
-    return float(w_u @ d ** (-lam) @ w_v)
+    diff = 0.5 * (xu[:, None] - xv[None, :])
+    weight = np.multiply.outer(0.5 * wu, 0.5 * wv)
+    d2 = functools.reduce(np.add.outer, [(diff + o) ** 2 for o in offset])
+    w = functools.reduce(np.multiply.outer, [weight] * dim)
+    return float(np.sum(w * d2 ** (-lam / 2.0)))
 
 
 _NEAR_RADIUS = 2
@@ -116,23 +116,72 @@ def _offset_kernel(shape, spacing: float, lam: float) -> np.ndarray:
     return kern * spacing ** (-lam)
 
 
-def convolve_window(values: np.ndarray, kern: np.ndarray) -> np.ndarray:
+def _reflected_kernel(shape, spacing: float, lo_n: float, lam: float) -> np.ndarray:
+    """|x - y|^(-lam) with the last axis of y reflected, by index offset.
+
+    The first N - 1 axes hold the offsets i - j; the last holds the index
+    sum of the flipped axis, at x_N + y_N = 2 lo_n + h (k + 1).
+    """
+    axes = [spacing * np.arange(-(n - 1), n) for n in shape[:-1]]
+    t = 2.0 * lo_n + spacing * (np.arange(2 * shape[-1] - 1) + 1.0)
+    mesh = np.meshgrid(*axes, t, indexing="ij")
+    d2 = sum(m * m for m in mesh[:-1]) + mesh[-1] ** 2 if len(mesh) > 1 else mesh[0] ** 2
+    return d2 ** (-lam / 2.0)
+
+
+# Room for the fine and coarse kernels of a few (grid, lambda) pairs: one
+# 48^3 spectrum takes 7 MB, one of the 128 x 128 x 16 witness grid 18 MB.
+_SPECTRUM_CACHE_SIZE = 8
+
+
+def _fast_shape(shape) -> tuple:
+    """FFT length per axis at which a circular convolution of n values with
+    2n - 1 kernel entries reproduces every offset i - j without wrapping."""
+    return tuple(sfft.next_fast_len(2 * n - 1, real=True) for n in shape)
+
+
+@functools.lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
+def kernel_spectrum(shape: tuple, spacing: float, lam: float, reflect_lo=None) -> np.ndarray:
+    """rfftn of an offset kernel at the lengths of ``_fast_shape(shape)``.
+
+    With ``reflect_lo`` None the kernel is the cell-averaged |x - y|^(-lam)
+    of ``_offset_kernel``; otherwise it is the reflected kernel
+    |x' - y', x_N + y_N|^(-lam) of a grid whose last axis starts at
+    ``reflect_lo``.  The returned array is shared between callers and is
+    read-only.
+    """
+    if reflect_lo is None:
+        kern = _offset_kernel(shape, spacing, lam)
+    else:
+        kern = _reflected_kernel(shape, spacing, reflect_lo, lam)
+    spec = sfft.rfftn(kern, s=_fast_shape(shape))
+    spec.flags.writeable = False
+    return spec
+
+
+def apply_kernel(values: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     """sum_j kern[i - j + n - 1] values[j] at every index i of ``values``.
 
-    ``kern`` holds 2n - 1 entries on each axis where ``values`` holds n, so
-    every offset i - j between two cells has an entry.
+    ``spectrum`` is a ``kernel_spectrum`` of the same shape: its kernel holds
+    2n - 1 entries on each axis where ``values`` holds n.  The offsets
+    i - j + n - 1 lie in [0, 2n - 2] and the FFT length is at least 2n - 1,
+    so the circular convolution equals the linear one on this window.
     """
-    conv = fftconvolve(values, kern, mode="full")
+    size = _fast_shape(values.shape)
+    conv = sfft.irfftn(sfft.rfftn(values, s=size) * spectrum, s=size)
     return conv[tuple(slice(n - 1, 2 * n - 1) for n in values.shape)]
 
 
-def richardson(quadrature: str, evaluate, *fields: Field) -> EnergyResult:
+def richardson(quadrature: str, evaluate, *fields: Field, estimate: bool = True) -> EnergyResult:
     """evaluate(*fields) with the change on factor-2 coarsened fields as error.
 
     When a grid is too small to coarsen, the estimate falls back to 1% of
-    the value.
+    the value.  With ``estimate`` False the coarse evaluation is skipped and
+    est_error is NaN: no estimate was made, which 0 would misreport.
     """
     value = evaluate(*fields)
+    if not estimate:
+        return EnergyResult(value=value, quadrature=quadrature, est_error=float("nan"))
     try:
         est = abs(value - evaluate(*(coarsen(f) for f in fields)))
     except ValueError:
@@ -142,30 +191,31 @@ def richardson(quadrature: str, evaluate, *fields: Field) -> EnergyResult:
 
 def _pair_sum(f: Field, g: Field, lam: float) -> float:
     spacing, dim = f.grid.spacing, f.dim
-    conv = convolve_window(f.values, _offset_kernel(f.grid.shape, spacing, lam))
+    conv = apply_kernel(f.values, kernel_spectrum(f.grid.shape, spacing, lam))
     off_diag = float(np.sum(g.values * conv)) * spacing ** (2 * dim)
     diag = float(np.sum(f.values * g.values)) * _diag_cell_constant(dim, lam) * spacing ** (2 * dim - lam)
     return off_diag + diag
 
 
-def energy_direct(f: Field, g: Field, kp: KernelParams) -> EnergyResult:
+def energy_direct(f: Field, g: Field, kp: KernelParams, estimate: bool = True) -> EnergyResult:
     """I_lambda[f, g] by the double midpoint sum with self-cell correction.
 
     The error estimate compares against the same evaluation at spacing 2h
-    (block-averaged fields).
+    (block-averaged fields).  ``estimate=False`` skips it for callers that
+    discard it; est_error is then NaN.
     """
     if f.grid != g.grid:
         raise ValueError("energy_direct requires f and g on the same grid")
     # Canonical argument order makes energy(f, g) == energy(g, f) exactly.
     if f.values.tobytes() > g.values.tobytes():
         f, g = g, f
-    return richardson("direct", lambda a, b: _pair_sum(a, b, kp.lam), f, g)
+    return richardson("direct", lambda a, b: _pair_sum(a, b, kp.lam), f, g, estimate=estimate)
 
 
 def riesz_potential(f: Field, kp: KernelParams) -> np.ndarray:
     """(|x|^-lambda * f) at the cell centers, with self-cell correction."""
     g = f.grid
-    pot = convolve_window(f.values, _offset_kernel(g.shape, g.spacing, kp.lam)) * g.spacing**g.dim
+    pot = apply_kernel(f.values, kernel_spectrum(g.shape, g.spacing, kp.lam)) * g.spacing**g.dim
     pot = pot + f.values * _diag_cell_constant(g.dim, kp.lam) * g.spacing ** (g.dim - kp.lam)
     return pot
 
@@ -233,7 +283,7 @@ def rayleigh_quotient(f: Field, kp: KernelParams) -> float:
     norm = lp_norm(f, kp.p)
     if norm == 0.0:
         raise ValueError("rayleigh quotient undefined for the zero field")
-    return energy_direct(f, f, kp).value / norm**2
+    return energy_direct(f, f, kp, estimate=False).value / norm**2
 
 
 def _fourier_side_sum(f: Field, kp: KernelParams, pad: int = 4) -> float:
@@ -279,7 +329,7 @@ def calibrate_fourier(kp: KernelParams, probe: Field) -> FourierCalibration:
     var = (probe.values.ravel() @ np.sum((pts - mean) ** 2, axis=-1)) / total
     width2 = 1.5 * np.sqrt(var / probe.dim)
     probe2 = gaussian_field(probe.grid, mean, width2)
-    a2 = energy_direct(probe2, probe2, kp).value / _fourier_side_sum(probe2, kp)
+    a2 = energy_direct(probe2, probe2, kp, estimate=False).value / _fourier_side_sum(probe2, kp)
     return FourierCalibration(a_const=a1, calib_residual=abs(a2 - a1) / a1)
 
 

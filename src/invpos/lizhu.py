@@ -8,6 +8,7 @@ the signature of the invariant family alpha (beta + |x - y|^2)^(-N).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -63,8 +64,10 @@ class Measure:
     def dim(self) -> int:
         return self.points.shape[1] if self.points is not None else self.density.dim
 
-    @property
+    @functools.cached_property
     def total_mass(self) -> float:
+        # Computed once: for a 1-D density with a tail it takes two quad
+        # integrals, and every hemi-ball bisection reads it.
         if self.points is not None:
             return float(self.weights.sum())
         total = grid_mass(self.density.grid, self.density.values)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import gamma, gammaln
 
 from .coverage import ball_coverage, grid_mass
-from .energy import EnergyResult, convolve_window, energy_direct, richardson
+from .energy import EnergyResult, apply_kernel, energy_direct, kernel_spectrum, richardson
 from .fields import Field, Grid, HalfSpace, KernelParams, apply_region_map, box_grid, coarsen, split_in_out
 
 
@@ -35,15 +35,19 @@ class PositivityReport:
 
 
 def _defect_core(region, f: Field, kp: KernelParams) -> tuple:
-    """(defect, g-form value, g-field) of f against the region at one resolution."""
+    """(defect, g-form value, g-field) of f against the region at one resolution.
+
+    The energies carry no estimates of their own: positivity_defect
+    estimates the error of the combination instead.
+    """
     fi, fo, theta_f, inside = split_in_out(region, f, kp)
-    e_f = energy_direct(f, f, kp)
-    e_i = energy_direct(fi, fi, kp)
-    e_o = energy_direct(fo, fo, kp)
+    e_f = energy_direct(f, f, kp, estimate=False)
+    e_i = energy_direct(fi, fi, kp, estimate=False)
+    e_o = energy_direct(fo, fo, kp, estimate=False)
     defect = 0.5 * (e_i.value + e_o.value) - e_f.value
     g = Field(f.grid, np.where(inside, f.values - theta_f.values, 0.0))
     theta_g = apply_region_map(region, g, kp)
-    e_g = energy_direct(theta_g, g, kp)
+    e_g = energy_direct(theta_g, g, kp, estimate=False)
     return defect, e_g.value, g, theta_f
 
 
@@ -337,22 +341,12 @@ def halfspace_representation(f: Field, kp: KernelParams) -> float:
 # --- reflected-kernel energy over the standard half-space {x_N > 0} ---
 
 
-def _reflected_kernel(grid: Grid, lam: float) -> np.ndarray:
-    h = grid.spacing
-    axes = [h * np.arange(-(n - 1), n) for n in grid.shape[:-1]]
-    n_last = grid.shape[-1]
-    lo_n = grid.lo[-1]
-    t = 2.0 * lo_n + h * (np.arange(2 * n_last - 1) + 1.0)
-    mesh = np.meshgrid(*axes, t, indexing="ij")
-    d2 = sum(m * m for m in mesh[:-1]) + mesh[-1] ** 2 if len(mesh) > 1 else mesh[0] ** 2
-    return d2 ** (-lam / 2.0)
-
-
-def reflected_energy(f: Field, g: Field, kp: KernelParams) -> EnergyResult:
+def reflected_energy(f: Field, g: Field, kp: KernelParams, estimate: bool = True) -> EnergyResult:
     """I_lambda[Theta_H f, g] for fields supported in {x_N > 0}, H standard.
 
     The kernel depends on x' - y' and x_N + y_N, so the pair sum is a
-    convolution after reversing the last axis of f.
+    convolution after reversing the last axis of f.  ``estimate=False``
+    skips the Richardson estimate (est_error is then NaN).
     """
     if f.grid != g.grid:
         raise ValueError("fields must share a grid")
@@ -361,10 +355,12 @@ def reflected_energy(f: Field, g: Field, kp: KernelParams) -> EnergyResult:
         _check_halfspace_support(g)
 
     def compute(ff: Field, gg: Field) -> float:
-        conv = convolve_window(np.flip(ff.values, axis=-1), _reflected_kernel(ff.grid, kp.lam))
-        return float(np.sum(gg.values * conv)) * ff.grid.spacing ** (2 * ff.dim)
+        grid = ff.grid
+        spectrum = kernel_spectrum(grid.shape, grid.spacing, kp.lam, float(grid.lo[-1]))
+        conv = apply_kernel(np.flip(ff.values, axis=-1), spectrum)
+        return float(np.sum(gg.values * conv)) * grid.spacing ** (2 * ff.dim)
 
-    return richardson("direct", compute, f, g)
+    return richardson("direct", compute, f, g, estimate=estimate)
 
 
 # --- the paper's two boundary examples ---
@@ -446,7 +442,7 @@ def find_negative_defect(kp: KernelParams, points_per_axis: int = 128) -> Defect
     gram = np.zeros((m, m))
     for i in range(m):
         for j in range(i, m):
-            res = reflected_energy(cands[i], cands[j], kp)
+            res = reflected_energy(cands[i], cands[j], kp, estimate=False)
             gram[i, j] = gram[j, i] = res.value
     # The most negative direction of the family's quadratic form; the
     # assembled witness is re-evaluated whole, so its error estimate sees

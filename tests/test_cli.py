@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from invpos.cli import (
     EXIT_NUMERIC,
     EXIT_PASS,
     ConfigError,
+    main,
     parse_config,
     run,
 )
@@ -245,6 +247,8 @@ _SMALL_2D = dict(_SMALL, command="positivity", kernel={"dim": 2, "lambda": 1.0})
         pytest.param(dict(_SMALL, seed=True), id="bool-seed"),
         pytest.param(dict(_SMALL, function={"family": "gaussian", "width": 0}), id="zero-width"),
         pytest.param(dict(_SMALL, function={"family": "indicator", "lo": 20, "hi": 30}), id="zero-field"),
+        pytest.param(dict(_SMALL, command="represent", function={"family": "gaussian"}), id="represent-below-plane"),
+        pytest.param(dict(_SMALL, command="lizhu-check", function={"family": "extremizer", "alpha": -1}), id="negative-density"),
     ],
 )
 def test_config_faults_exit_two_without_traceback(tmp_path, doc):
@@ -258,3 +262,109 @@ def test_config_faults_exit_two_without_traceback(tmp_path, doc):
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config error:") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_huge_halfspace_normal_is_normalized(tmp_path):
+    doc = dict(_SMALL_2D, region={"halfspace": {"normal": [-1e300, -1e300], "offset": 0.5}})
+    assert run(parse_config(json.dumps(doc)), str(tmp_path)) == EXIT_PASS
+
+
+# --- fuzzing: mutated small configs exit with a documented code, never raise ---
+
+_FUZZ_BASES = (
+    {"command": "energy", "kernel": {"dim": 1, "lambda": 0.5}, "grid": {"min": -8, "max": 8, "points": 32},
+     "function": {"family": "gaussian", "center": [0.5], "width": 1.0}},
+    {"command": "transform", "kernel": {"dim": 1, "lambda": 0.5}, "grid": {"min": -8, "max": 8, "points": 32},
+     "function": {"family": "gaussian", "center": [2.0], "width": 0.8}, "region": {"ball": {"center": [-3.0], "radius": 1.5}}},
+    {"command": "positivity", "kernel": {"dim": 2, "lambda": 1.0}, "grid": {"min": -4, "max": 4, "points": 8},
+     "function": {"family": "indicator", "lo": [-1, 0], "hi": [1, 2]}, "region": {"halfspace": {"normal": [0, 1], "offset": 0.5}}},
+    {"command": "represent", "kernel": {"dim": 1, "lambda": 0.5}, "grid": {"min": 0, "max": 8, "points": 32},
+     "function": {"family": "gaussian", "center": [3.0], "width": 0.7}},
+    {"command": "hemiball", "kernel": {"dim": 1, "lambda": 0.5}, "grid": {"min": -8, "max": 8, "points": 64},
+     "function": {"family": "extremizer"}, "tolerances": {"expected": 1.0, "abs_tol": 1e-2}},
+    {"command": "lizhu-check", "kernel": {"dim": 1, "lambda": 0.5}, "grid": {"min": -8, "max": 8, "points": 64},
+     "function": {"family": "extremizer", "alpha": 2.0}},
+    {"command": "sharp-constant", "kernel": {"dim": 3, "lambda": 1.0}},
+)
+# "counterexample" searches fixed 40^3 and 128^2 x 16 grids whatever the
+# config says, and "symmetrize" runs up to 50 sweeps: both are too slow to
+# fuzz, so neither is a base nor a mutation target.
+_FUZZ_COMMANDS = ("energy", "transform", "positivity", "represent", "hemiball", "lizhu-check", "sharp-constant")
+_FUZZ_KEYS = ("command", "kernel", "grid", "function", "region", "tolerances", "seed", "dim", "lambda", "min",
+              "max", "points", "family", "center", "width", "alpha", "beta", "amplitude", "lo", "hi", "ball",
+              "halfspace", "radius", "normal", "offset", "file", "bogus")
+
+
+def _fuzz_values():
+    from hypothesis import strategies as st
+
+    numbers = st.sampled_from([-1e300, -3, -1, -0.5, 0, 1e-300, 0.5, 1, 1.5, 2, 2.5, 3, 8, 16, 64, 1e9, 1e300])
+    leaves = (
+        numbers
+        | st.sampled_from([True, False, None, "", "x", "1.0", "no-such-file.csv", float("nan"), float("inf")])
+        | st.sampled_from(_FUZZ_COMMANDS + ("frobnicate",))
+    )
+    return st.recursive(leaves, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(_FUZZ_KEYS), inner, max_size=2), max_leaves=4)
+
+
+def _paths(node, prefix=()):
+    """Every key or index path below ``node``, parents before children."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutate(doc: dict, data) -> None:
+    """One edit of the nested config: a value replaced, a key dropped or a key added."""
+    from hypothesis import strategies as st
+
+    paths = list(_paths(doc))
+    if not paths:
+        doc[data.draw(st.sampled_from(_FUZZ_KEYS))] = data.draw(_fuzz_values())
+        return
+    path = data.draw(st.sampled_from(paths))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    action = data.draw(st.sampled_from(("replace", "drop", "add")))
+    if action == "drop" and isinstance(parent, dict):
+        del parent[path[-1]]
+    elif action == "add":
+        target = parent[path[-1]] if isinstance(parent[path[-1]], dict) else doc
+        target[data.draw(st.sampled_from(_FUZZ_KEYS))] = data.draw(_fuzz_values())
+    else:
+        parent[path[-1]] = data.draw(_fuzz_values())
+
+
+def _cells(doc) -> int:
+    """Grid cells of a config that parses, else 0."""
+    try:
+        cfg = parse_config(json.dumps(doc))
+    except ConfigError:
+        return 0
+    return int(np.prod(cfg.points)) if cfg.command != "sharp-constant" else 0
+
+
+def test_cli_fuzzed_configs_exit_with_a_documented_code():
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None,
+                         suppress_health_check=list(hypothesis.HealthCheck))
+    @hypothesis.given(st.sampled_from(range(len(_FUZZ_BASES))), st.integers(1, 3), st.data())
+    def check(base, edits, data):
+        doc = json.loads(json.dumps(_FUZZ_BASES[base]))
+        for _ in range(edits):
+            _mutate(doc, data)
+        # At most 64 points per axis come from the value pool, but a mutated
+        # dim can still make a valid grid large; keep to 64^2 cells.
+        hypothesis.assume(_cells(doc) <= 64 ** 2)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w") as fh:
+                fh.write(json.dumps(doc))
+            code = main(["--config", path, "--out", os.path.join(tmp, "out")])
+        assert code in (EXIT_PASS, EXIT_FAIL, EXIT_CONFIG, EXIT_NUMERIC), (doc, code)
+
+    check()

@@ -1,9 +1,13 @@
 """Energy quadrature oracles: closed forms, scaling laws, the sharp constant."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 from scipy.special import gamma
 
+from invpos import energy
 from invpos.energy import (
     calibrate_fourier,
     el_residual,
@@ -155,3 +159,89 @@ def test_energy_fourier_calibrated_matches_direct():
     four = energy_fourier(f, kp, calib)
     direct = energy_direct(f, f, kp)
     assert abs(four.value - direct.value) < 0.05 * direct.value
+
+
+# --- the cached Riesz operator against the uncached rules it replaced ---
+
+
+def _window_conv(values, kern):
+    """The linear convolution window that the cached operator must reproduce."""
+    conv = fftconvolve(values, kern, mode="full")
+    return conv[tuple(slice(n - 1, 2 * n - 1) for n in values.shape)]
+
+
+def _dense_reflected_kernel(shape, h, lo_n, lam):
+    axes = [h * np.arange(-(n - 1), n) for n in shape[:-1]]
+    t = 2.0 * lo_n + h * (np.arange(2 * shape[-1] - 1) + 1.0)
+    mesh = np.meshgrid(*axes, t, indexing="ij")
+    return sum(m * m for m in mesh) ** (-lam / 2.0)
+
+
+def _dense_cell_pair_constant(dim, lam, offset):
+    xu, wu = np.polynomial.legendre.leggauss(8)
+    xv, wv = np.polynomial.legendre.leggauss(9)
+    xu, wu, xv, wv = 0.5 * (xu + 1.0), 0.5 * wu, 0.5 * (xv + 1.0), 0.5 * wv
+    u = np.stack([g.ravel() for g in np.meshgrid(*([xu] * dim), indexing="ij")], axis=-1)
+    v = np.stack([g.ravel() for g in np.meshgrid(*([xv] * dim), indexing="ij")], axis=-1)
+    w_u = np.prod(np.meshgrid(*([wu] * dim), indexing="ij"), axis=0).ravel()
+    w_v = np.prod(np.meshgrid(*([wv] * dim), indexing="ij"), axis=0).ravel()
+    d = np.linalg.norm(u[:, None, :] - v[None, :, :] + np.asarray(offset, dtype=float), axis=-1)
+    return float(w_u @ d ** (-lam) @ w_v)
+
+
+@pytest.mark.parametrize("shape", [(37,), (13, 9), (7, 6, 5)])
+@pytest.mark.parametrize("lam", [0.4, 0.9])
+def test_cached_operator_matches_window_convolution(shape, lam):
+    values = np.random.default_rng(len(shape)).uniform(0.1, 1.0, size=shape)
+    h, lo_n = 0.3, 0.15
+    direct = energy.apply_kernel(values, energy.kernel_spectrum(shape, h, lam))
+    want = _window_conv(values, energy._offset_kernel(shape, h, lam))
+    assert np.max(np.abs(direct - want) / np.abs(want)) < 1e-13
+    reflected = energy.apply_kernel(values, energy.kernel_spectrum(shape, h, lam, lo_n))
+    want = _window_conv(values, _dense_reflected_kernel(shape, h, lo_n, lam))
+    assert np.max(np.abs(reflected - want) / np.abs(want)) < 1e-13
+
+
+def test_value_only_energy_is_bit_identical():
+    kp = KernelParams(dim=2, lam=1.0)
+    g = box_grid([-3.0, -3.0], [3.0, 3.0], 32)
+    rng = np.random.default_rng(3)
+    f, h = Field(g, rng.uniform(size=g.shape)), Field(g, rng.uniform(size=g.shape))
+    full = energy_direct(f, h, kp)
+    bare = energy_direct(f, h, kp, estimate=False)
+    assert bare.value == full.value and full.est_error > 0
+    assert math.isnan(bare.est_error)
+
+
+def test_cache_hit_and_miss_are_bit_identical():
+    kp = KernelParams(dim=3, lam=1.3)
+    g = box_grid([-2.0] * 3, [2.0] * 3, 12)
+    f = gaussian_field(g, [0.2, 0.0, -0.1], 0.7)
+    energy.kernel_spectrum.cache_clear()
+    miss = energy_direct(f, f, kp)
+    hits = energy.kernel_spectrum.cache_info().hits
+    hit = energy_direct(f, f, kp)
+    assert energy.kernel_spectrum.cache_info().hits > hits
+    energy.kernel_spectrum.cache_clear()
+    again = energy_direct(f, f, kp)
+    assert miss == hit == again
+
+
+def test_spectrum_cache_stays_bounded():
+    g = box_grid([-2.0, -2.0], [2.0, 2.0], 16)
+    f = gaussian_field(g, [0.0, 0.0], 0.8)
+    for lam in np.linspace(0.2, 1.8, 12):
+        energy_direct(f, f, KernelParams(dim=2, lam=float(lam)))
+    info = energy.kernel_spectrum.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    with pytest.raises(ValueError):
+        energy.kernel_spectrum((16, 16), g.spacing, 1.0)[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("lam", [0.3, 1.0, 1.7])
+def test_separable_cell_pair_constant_matches_dense_rule(dim, lam):
+    for offset in [(0,) * dim, (0,) * (dim - 1) + (1,), (1,) * dim, (0,) * (dim - 1) + (2,), (1,) + (2,) * (dim - 1)]:
+        got = energy._cell_pair_constant(dim, lam, offset)
+        want = _dense_cell_pair_constant(dim, lam, offset)
+        assert abs(got - want) <= 1e-14 * want
