@@ -320,6 +320,7 @@ def _cmd_energy(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
     rep.add("value", res.value)
     rep.add("quadrature", res.quadrature)
     rep.add("est_error", res.est_error)
+    rep.add("est_kind", res.est_kind)
     quotient = res.value / lp_norm(f, kp.p) ** 2
     rep.add("rayleigh_quotient", quotient)
     if (cfg.function or {}).get("family", "extremizer") == "extremizer" and "file" not in (cfg.function or {}):
@@ -341,7 +342,9 @@ def _cmd_transform(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
     rep.add("energy", e_f.value)
     rep.add("energy_transformed", e_t.value)
     rep.add("est_error", e_f.est_error)
+    rep.add("est_kind", e_f.est_kind)
     rep.add("est_error_transformed", e_t.est_error)
+    rep.add("est_kind_transformed", e_t.est_kind)
     sigma = cfg.tolerances.get("sigma", 1.0)
     combined = sigma * (e_f.est_error + e_t.est_error)
     diff = abs(e_t.value - e_f.value)
@@ -358,6 +361,9 @@ def _cmd_positivity(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
     rep.add("defect", result.defect)
     rep.add("defect_via_g", result.defect_via_g)
     rep.add("est_error", result.est_error)
+    rep.add("est_defect", result.est_defect)
+    rep.add("est_via_g", result.est_via_g)
+    rep.add("est_kind", result.est_kind)
     rep.add("strict_flag", result.strict_flag)
     rep.add("positivity_valid", kp.positivity_valid)
     if result.oracle_value is not None:
@@ -382,6 +388,7 @@ def _cmd_represent(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
     rep.add("representation", value)
     rep.add("direct", direct.value)
     rep.add("direct_est_error", direct.est_error)
+    rep.add("direct_est_kind", direct.est_kind)
     tol = max(3.0 * direct.est_error, cfg.tolerances.get("rel_tol", 0.005) * abs(value))
     diff = abs(value - direct.value)
     rep.verdict("representation_matches_direct", diff, tol, diff <= tol)
@@ -453,14 +460,24 @@ def _cmd_lizhu_check(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
     rep.verdict("pointwise_invariance", deviation, dev_tol, deviation <= dev_tol)
 
 
+def _add_grid(rep: Report, grid) -> None:
+    rep.add("points_per_axis", int(grid.shape[0]))
+    rep.add("grid_shape", grid.shape_text)
+    rep.add("grid_spacing", grid.spacing)
+
+
 def _cmd_counterexample(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
     from .fields import write_field_csv
     from .positivity import find_negative_defect, newton_zero_overlap
 
+    # Both examples run on their own fixed grids, not on the config grid;
+    # the report names the grid actually used.
     if kp.positivity_valid:
         result = newton_zero_overlap(kp)
+        _add_grid(rep, result.field.grid)
         rep.add("overlap", result.overlap)
         rep.add("est_error", result.est_error)
+        rep.add("est_kind", result.est_kind)
         rep.add("self_energy", result.self_energy)
         write_field_csv(result.field, os.path.join(out_dir, "newton_field.csv"))
         rep.verdict("overlap_vanishes", abs(result.overlap), result.est_error, abs(result.overlap) <= result.est_error)
@@ -472,9 +489,11 @@ def _cmd_counterexample(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
         )
     else:
         result = find_negative_defect(kp)
+        _add_grid(rep, result.negative_field.grid)
         rep.add("negative_defect", result.negative_defect)
         rep.add("positive_defect", result.positive_defect)
         rep.add("est_error", result.est_error)
+        rep.add("est_kind", result.est_kind)
         write_field_csv(result.negative_field, os.path.join(out_dir, "negative_witness.csv"))
         write_field_csv(result.positive_field, os.path.join(out_dir, "positive_witness.csv"))
         bound = 3.0 * result.est_error

@@ -23,17 +23,27 @@ from scipy.special import gammaln
 from .fields import Field, KernelParams, coarsen, lp_norm
 
 
+# How an est_error was obtained: "richardson" measured against the
+# factor-2 coarsened grid, "guessed" a fixed fraction of the value where the
+# grid is too small to coarsen, "calibration" scaled from the Fourier
+# calibration residual, "none" not estimated (est_error NaN).
+EST_KINDS = ("richardson", "guessed", "calibration", "none")
+
+
 @dataclass(frozen=True)
 class EnergyResult:
     value: float
     quadrature: str
     est_error: float
+    est_kind: str
 
     def __post_init__(self):
         if not np.isfinite(self.value):
             raise ValueError("energy value must be finite")
         if self.est_error < 0:
             raise ValueError("est_error must be non-negative")
+        if self.est_kind not in EST_KINDS:
+            raise ValueError(f"est_kind must be one of {', '.join(EST_KINDS)}")
 
 
 @dataclass(frozen=True)
@@ -176,17 +186,18 @@ def richardson(quadrature: str, evaluate, *fields: Field, estimate: bool = True)
     """evaluate(*fields) with the change on factor-2 coarsened fields as error.
 
     When a grid is too small to coarsen, the estimate falls back to 1% of
-    the value.  With ``estimate`` False the coarse evaluation is skipped and
-    est_error is NaN: no estimate was made, which 0 would misreport.
+    the value and est_kind says "guessed".  With ``estimate`` False the
+    coarse evaluation is skipped and est_error is NaN (est_kind "none"): no
+    estimate was made, which 0 would misreport.
     """
     value = evaluate(*fields)
     if not estimate:
-        return EnergyResult(value=value, quadrature=quadrature, est_error=float("nan"))
+        return EnergyResult(value=value, quadrature=quadrature, est_error=float("nan"), est_kind="none")
     try:
-        est = abs(value - evaluate(*(coarsen(f) for f in fields)))
+        est, kind = abs(value - evaluate(*(coarsen(f) for f in fields))), "richardson"
     except ValueError:
-        est = abs(value) * 1e-2
-    return EnergyResult(value=value, quadrature=quadrature, est_error=est)
+        est, kind = abs(value) * 1e-2, "guessed"
+    return EnergyResult(value=value, quadrature=quadrature, est_error=est, est_kind=kind)
 
 
 def _pair_sum(f: Field, g: Field, lam: float) -> float:
@@ -335,7 +346,8 @@ def calibrate_fourier(kp: KernelParams, probe: Field) -> FourierCalibration:
 
 def energy_fourier(f: Field, kp: KernelParams, calib: FourierCalibration) -> EnergyResult:
     value = calib.a_const * _fourier_side_sum(f, kp)
-    return EnergyResult(value=value, quadrature="fourier", est_error=abs(value) * max(calib.calib_residual, 1e-12))
+    est = abs(value) * max(calib.calib_residual, 1e-12)
+    return EnergyResult(value=value, quadrature="fourier", est_error=est, est_kind="calibration")
 
 
 def el_residual(f: Field, kp: KernelParams) -> float:

@@ -83,6 +83,11 @@ class Grid:
         return int(np.prod(self.shape))
 
     @property
+    def shape_text(self) -> str:
+        """The shape as it is reported, e.g. "128x128x16"."""
+        return "x".join(str(n) for n in self.shape)
+
+    @property
     def hi(self) -> np.ndarray:
         return self.lo + self.spacing * np.asarray(self.shape)
 

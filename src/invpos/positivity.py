@@ -31,7 +31,13 @@ class PositivityReport:
     defect_via_g: float
     oracle_value: Optional[float]
     strict_flag: bool
-    est_error: float
+    est_defect: float
+    est_via_g: float
+    est_kind: str
+
+    @property
+    def est_error(self) -> float:
+        return self.est_defect + self.est_via_g
 
 
 def _defect_core(region, f: Field, kp: KernelParams) -> tuple:
@@ -58,6 +64,9 @@ def positivity_defect(region, f: Field, kp: KernelParams) -> PositivityReport:
     quantity is recomputed on the factor-2 coarsened field): the four energy
     integrals share most of their quadrature bias, which cancels in the
     combination, so per-integral error bounds would be wildly pessimistic.
+    It is the sum of its two parts, est_defect = |change of the defect| and
+    est_via_g = |change of the g-form|.  On a grid too small to coarsen each
+    part is guessed as a tenth of its value and est_kind says "guessed".
 
     strict_flag is True when f agrees with its conformal image within
     interpolation tolerance (relative p-norm 1e-3), in which case the defect
@@ -66,9 +75,9 @@ def positivity_defect(region, f: Field, kp: KernelParams) -> PositivityReport:
     defect, via_g, g, theta_f = _defect_core(region, f, kp)
     try:
         defect_c, via_g_c, _, _ = _defect_core(region, coarsen(f), kp)
-        est = abs(defect - defect_c) + abs(via_g - via_g_c)
+        est_defect, est_via_g, kind = abs(defect - defect_c), abs(via_g - via_g_c), "richardson"
     except ValueError:
-        est = 0.1 * (abs(defect) + abs(via_g)) + 1e-12
+        est_defect, est_via_g, kind = 0.1 * abs(defect) + 5e-13, 0.1 * abs(via_g) + 5e-13, "guessed"
     oracle = None
     if isinstance(region, HalfSpace) and f.dim == 1:
         oracle = halfspace_representation(_standardize_1d(g, region), kp)
@@ -80,7 +89,9 @@ def positivity_defect(region, f: Field, kp: KernelParams) -> PositivityReport:
         defect_via_g=via_g,
         oracle_value=oracle,
         strict_flag=bool(strict),
-        est_error=est,
+        est_defect=est_defect,
+        est_via_g=est_via_g,
+        est_kind=kind,
     )
 
 
@@ -152,39 +163,23 @@ def kernel_k(kp: KernelParams, xi_perp: float, t: float) -> float:
     return float(pref * _cosh_integral(xi_perp, t, a))
 
 
-def _pc_fourier_1d(x: np.ndarray, values: np.ndarray, h: float, xi: np.ndarray) -> np.ndarray:
-    """Unitary Fourier transform of the piecewise-constant interpolant."""
-    phase = np.exp(-1j * np.outer(xi, x))
-    sinc = np.sinc(xi * h / (2.0 * np.pi))
-    return (2.0 * np.pi) ** -0.5 * h * sinc * (phase @ values)
+def _cell_laplace(left: np.ndarray, values: np.ndarray, h: float, taus: np.ndarray) -> np.ndarray:
+    """F(tau) = int e^(-tau |x|) f(x) dx for the piecewise-constant interpolant, exact.
 
-
-def _laplace_via_cauchy(x: np.ndarray, values: np.ndarray, h: float, taus: np.ndarray) -> np.ndarray:
-    """Half-line Laplace transform expressed through the line Fourier integral.
-
-    F(tau) = sqrt(2/pi) tau int fhat(xi) / (xi^2 + tau^2) dxi, valid because
-    the samples live on x >= 0.  The xi integral runs over panels up to the
-    grid Nyquist frequency.
+    Cell j covers [left_j, left_j + h] with value v_j and left_j > -h.  A
+    cell in x >= 0 gives v_j e^(-tau left_j) c(h) with c(w) = (1 - e^(-tau w)) / tau;
+    expm1 keeps c accurate when tau w is small.  A cell that straddles 0
+    is folded onto the half-line by the |x|, c(left_j + h) + c(-left_j), so
+    its mass is kept and its factor stays bounded.
     """
-    xmax = float(np.max(np.abs(x))) + h
-    xi_max = np.pi / h
-    panel = np.pi / (2.0 * xmax)
-    n_panels = max(8, int(np.ceil(xi_max / panel)))
-    nodes, weights = np.polynomial.legendre.leggauss(10)
-    edges = np.linspace(0.0, xi_max, n_panels + 1)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    halfs = 0.5 * (edges[1:] - edges[:-1])
-    xi = (mids[:, None] + halfs[:, None] * nodes[None, :]).ravel()
-    w = (halfs[:, None] * weights[None, :]).ravel()
-    fhat = np.real(_pc_fourier_1d(x, values, h, xi))
-    fhat0 = float(np.real(_pc_fourier_1d(x, values, h, np.zeros(1))[0]))
-    # f real: fhat(-xi) = conj(fhat(xi)), so the line integral is twice the
-    # real part over xi > 0.  Re fhat is even, so subtracting its xi = 0
-    # value leaves a smooth integrand while the Lorentzian peak (width tau,
-    # unresolvable by fixed panels as tau -> 0) is integrated analytically.
-    integ = 2.0 * ((fhat - fhat0) * w)[None, :] / (xi[None, :] ** 2 + taus[:, None] ** 2)
-    peak = 2.0 * fhat0 * np.arctan(xi_max / taus)
-    return np.sqrt(2.0 / np.pi) * (taus * integ.sum(axis=1) + peak)
+
+    def c(widths) -> np.ndarray:
+        return -np.expm1(-np.outer(taus, widths)) / taus[:, None]
+
+    full = c([h])
+    cut = left < 0
+    lap = np.exp(-np.outer(taus, np.maximum(left, 0.0))) @ values * full[:, 0]
+    return lap + (c(left[cut] + h) + c(-left[cut]) - full) @ values[cut]
 
 
 def _tau_quadrature(lam: float, break_point: float = 1.0, tau_max: float = 1e4):
@@ -275,7 +270,7 @@ def halfspace_representation(f: Field, kp: KernelParams) -> float:
         x = f.grid.axis_centers(0)
         keep = x > 0
         taus, ws = _tau_quadrature(kp.lam)
-        lap = _laplace_via_cauchy(x[keep], f.values[keep], h, taus)
+        lap = _cell_laplace(x[keep] - 0.5 * h, f.values[keep], h, taus)
         return float(ws @ lap**2 / gamma(kp.lam))
     r_primed, u = _separate(f)
     xn = f.grid.axis_centers(f.dim - 1)
@@ -285,11 +280,11 @@ def halfspace_representation(f: Field, kp: KernelParams) -> float:
     ref = int(np.argmax(np.abs(u)))
     v_vals = mat[ref] / u[ref]
 
-    # Dense tabulation of the v-profile Laplace transform (via the Cauchy
-    # identity), interpolated on a log-tau axis inside the outer integrals.
+    # Dense tabulation of the v-profile Laplace transform, interpolated on a
+    # log-tau axis inside the outer integrals.
     tau_cap = 2e3
     tau_dense = np.geomspace(1e-6, tau_cap, 3000)
-    lap_dense = _laplace_via_cauchy(xn[keep], v_vals[keep], h, tau_dense)
+    lap_dense = _cell_laplace(xn[keep] - 0.5 * h, v_vals[keep], h, tau_dense)
 
     def lap(taus: np.ndarray) -> np.ndarray:
         return np.interp(np.log(np.clip(taus, tau_dense[0], tau_dense[-1])), np.log(tau_dense), lap_dense)
@@ -323,17 +318,14 @@ def halfspace_representation(f: Field, kp: KernelParams) -> float:
 
     a = 1.0 - kp.dim + kp.lam
     nodes_u, weights_u = np.polynomial.legendre.leggauss(12)
-    inner = np.zeros_like(rhos)
-    for i, rho in enumerate(rhos):
-        umax = float(np.arccosh(max(2.0, tau_cap / rho)))
-        seg = umax * 0.7 ** np.arange(30)
-        seg = np.append(seg, 0.0)[::-1]
-        acc = 0.0
-        for lo, hi in zip(seg[:-1], seg[1:]):
-            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            uu = mid + half * nodes_u
-            acc += half * float(weights_u @ (np.sinh(uu) ** a * lap(rho * np.cosh(uu)) ** 2))
-        inner[i] = rho**a * acc
+    # Inner integral over tau = rho cosh(u) on panels graded geometrically
+    # towards the sinh(u)^a endpoint singularity; axes (rho, panel, node).
+    umax = np.arccosh(np.maximum(2.0, tau_cap / rhos))
+    seg = umax[:, None] * np.append(0.7 ** np.arange(30), 0.0)[::-1]
+    mid, half = 0.5 * (seg[:, 1:] + seg[:, :-1]), 0.5 * (seg[:, 1:] - seg[:, :-1])
+    uu = mid[..., None] + half[..., None] * nodes_u
+    vals = np.sinh(uu) ** a * lap(rhos[:, None, None] * np.cosh(uu)) ** 2
+    inner = rhos**a * np.sum(half * (vals @ weights_u), axis=1)
     integrand = rhos ** (kp.dim - 2) * uh**2 * inner
     return float(_c_repr(kp) * (np.pi / 2.0) * omega * (rws @ integrand))
 
@@ -371,6 +363,7 @@ class NewtonZeroResult:
     field: Field
     overlap: float
     est_error: float
+    est_kind: str
     self_energy: float
     self_est_error: float
 
@@ -396,6 +389,7 @@ def newton_zero_overlap(kp: KernelParams, points_per_axis: int = 40) -> NewtonZe
         field=f,
         overlap=overlap.value,
         est_error=overlap.est_error,
+        est_kind=overlap.est_kind,
         self_energy=self_e.value,
         self_est_error=self_e.est_error,
     )
@@ -408,6 +402,7 @@ class DefectWitnesses:
     positive_field: Field
     positive_defect: float
     est_error: float
+    est_kind: str
 
 
 def find_negative_defect(kp: KernelParams, points_per_axis: int = 128) -> DefectWitnesses:
@@ -454,18 +449,19 @@ def find_negative_defect(kp: KernelParams, points_per_axis: int = 128) -> Defect
     neg = reflected_energy(neg_field, neg_field, kp)
     if neg.value >= -3.0 * neg.est_error:
         raise SearchFailureError(
-            "no negative-defect witness beyond 3 est_error at this resolution; "
+            f"no negative-defect witness beyond 3 est_error on the {grid.shape_text} grid; "
             f"best candidate defect {neg.value:.3e} vs est {neg.est_error:.3e}"
         )
     # Any single bump has a strictly positive reflected overlap.
     k = int(np.argmax(np.diag(gram)))
     pos = reflected_energy(cands[k], cands[k], kp)
     if pos.value <= 3.0 * pos.est_error:
-        raise SearchFailureError("no positive-defect witness beyond 3 est_error")
+        raise SearchFailureError(f"no positive-defect witness beyond 3 est_error on the {grid.shape_text} grid")
     return DefectWitnesses(
         negative_field=neg_field,
         negative_defect=neg.value,
         positive_field=cands[k],
         positive_defect=pos.value,
         est_error=max(neg.est_error, pos.est_error),
+        est_kind="guessed" if "guessed" in (neg.est_kind, pos.est_kind) else "richardson",
     )

@@ -159,6 +159,68 @@ def test_numerical_failure_yields_exit_three(tmp_path):
     assert "NUMERICAL FAILURE" in (tmp_path / "summary.txt").read_text()
 
 
+def _report_row(out_dir) -> dict:
+    header, values = (out_dir / "report.csv").read_text().splitlines()
+    return dict(zip(header.split(","), values.split(",")))
+
+
+def test_counterexample_reports_the_grid_it_used(tmp_path):
+    # The Newton example runs on its own 40^3 grid whatever the config says.
+    cfg = parse_config(
+        json.dumps(
+            {
+                "command": "counterexample",
+                "kernel": {"dim": 3, "lambda": 1.0},
+                "grid": {"min": -2, "max": 2, "points": 16},
+            }
+        )
+    )
+    assert run(cfg, str(tmp_path)) == EXIT_PASS
+    row = _report_row(tmp_path)
+    assert row["points_per_axis"] == "40"
+    assert row["grid_shape"] == "40x40x40"
+    assert float(row["grid_spacing"]) == 2.5 / 40
+    assert row["est_kind"] == "richardson"
+    assert "grid_shape = 40x40x40" in (tmp_path / "summary.txt").read_text()
+
+
+def test_failed_witness_search_names_its_grid(tmp_path):
+    cfg = parse_config(json.dumps({"command": "counterexample", "kernel": {"dim": 3, "lambda": 0.9999}}))
+    assert run(cfg, str(tmp_path)) == EXIT_NUMERIC
+    assert "on the 128x128x16 grid" in (tmp_path / "summary.txt").read_text()
+
+
+def test_positivity_reports_estimate_parts_and_kind(tmp_path):
+    cfg = parse_config(
+        json.dumps(
+            {
+                "command": "positivity",
+                "kernel": {"dim": 1, "lambda": 0.5},
+                "grid": {"min": -16, "max": 16, "points": 256},
+                "function": {"family": "gaussian", "center": [1.5], "width": 0.8},
+                "region": {"halfspace": {"normal": [1.0], "offset": 0.0}},
+            }
+        )
+    )
+    assert run(cfg, str(tmp_path)) == EXIT_PASS
+    row = _report_row(tmp_path)
+    assert row["est_kind"] == "richardson"
+    assert float(row["est_error"]) == float(row["est_defect"]) + float(row["est_via_g"])
+
+
+def test_represent_on_a_grid_without_an_edge_at_zero(tmp_path):
+    # h = 17/512: the cell that holds x = 0 straddles it and is non-zero.
+    doc = {
+        "command": "represent",
+        "kernel": {"dim": 1, "lambda": 0.5},
+        "grid": {"min": -1, "max": 16, "points": 512},
+        "function": {"family": "indicator", "lo": 0, "hi": 2},
+    }
+    assert run(parse_config(json.dumps(doc)), str(tmp_path)) == EXIT_PASS
+    row = _report_row(tmp_path)
+    assert abs(float(row["representation"]) - float(row["direct"])) <= 0.005 * float(row["representation"])
+
+
 def test_cli_process_exit_code_for_bad_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(_cfg(kernel={"dim": 3, "lambda": 3.5}))

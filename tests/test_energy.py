@@ -213,6 +213,18 @@ def test_value_only_energy_is_bit_identical():
     assert math.isnan(bare.est_error)
 
 
+def test_estimate_kind_names_how_est_error_was_obtained():
+    kp = KernelParams(dim=1, lam=0.5)
+    f = Field(box_grid([0.0], [1.0], 64), np.ones(64))
+    assert energy_direct(f, f, kp).est_kind == "richardson"
+    assert energy_direct(f, f, kp, estimate=False).est_kind == "none"
+    # Three cells cannot be coarsened: the 1 % fallback is labelled guessed.
+    tiny = Field(box_grid([0.0], [1.0], 3), np.ones(3))
+    res = energy_direct(tiny, tiny, kp)
+    assert res.est_kind == "guessed"
+    assert res.est_error == abs(res.value) * 1e-2
+
+
 def test_cache_hit_and_miss_are_bit_identical():
     kp = KernelParams(dim=3, lam=1.3)
     g = box_grid([-2.0] * 3, [2.0] * 3, 12)

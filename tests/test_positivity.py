@@ -8,6 +8,7 @@ from invpos.fields import Field, KernelParams, box_grid
 from invpos.geometry import Ball, HalfSpace
 from invpos.positivity import (
     SearchFailureError,
+    _cell_laplace,
     find_negative_defect,
     halfspace_representation,
     kernel_k,
@@ -73,6 +74,31 @@ def test_defect_nonnegative_for_ball_region_2d():
     assert rep.defect >= -rep.est_error
 
 
+def test_defect_estimate_parts_and_kind():
+    kp = KernelParams(dim=1, lam=0.5)
+    h = HalfSpace(normal=np.array([1.0]), offset=0.0)
+    g = box_grid([-16.0], [16.0], 512)
+    rep = positivity_defect(h, gaussian_field(g, [1.5], 0.8), kp)
+    assert rep.est_kind == "richardson"
+    assert rep.est_error == rep.est_defect + rep.est_via_g
+    assert rep.est_defect > 0 and rep.est_via_g > 0
+    # Three cells cannot be coarsened: the estimate is guessed and says so.
+    tiny = box_grid([-1.5], [1.5], 3)
+    rep = positivity_defect(h, Field(tiny, np.array([0.2, 1.0, 0.5])), kp)
+    assert rep.est_kind == "guessed"
+    assert rep.est_error == rep.est_defect + rep.est_via_g
+
+
+def test_defect_oracle_finite_when_the_plane_is_off_a_cell_edge():
+    # Offset 0.3 puts the plane inside a cell of the 256-point grid, so g is
+    # non-zero on a cell that straddles it.
+    kp = KernelParams(dim=1, lam=0.5)
+    g = box_grid([-16.0], [16.0], 256)
+    rep = positivity_defect(HalfSpace(normal=np.array([1.0]), offset=0.3), gaussian_field(g, [1.0], 1.0), kp)
+    assert np.isfinite(rep.oracle_value)
+    assert abs(rep.oracle_value - rep.defect_via_g) <= 3.0 * rep.est_error
+
+
 def test_kernel_k_residue_closed_form():
     # lambda = N - 2 (N=3): k(xi, t) = pi e^(-t xi) / xi; at xi=1, t=2 this
     # is (pi) e^(-2) ... the J-form normalization gives pi/xi * exp(-t xi).
@@ -105,6 +131,43 @@ def test_representation_closed_form_indicator():
     assert abs(value - expect) < 0.005 * expect
 
 
+def test_cell_laplace_matches_indicator_transform():
+    # chi_[0,1] on 64 cells: F(tau) = (1 - e^(-tau))/tau exactly, also where
+    # tau h is far below rounding of 1 - e^(-tau h).
+    g = box_grid([0.0], [16.0], 1024)
+    x = g.axis_centers(0)
+    inside = x <= 1.0
+    h = g.spacing
+    taus = np.geomspace(1e-8, 1e4, 241)
+    got = _cell_laplace(x[inside] - 0.5 * h, np.ones(int(inside.sum())), h, taus)
+    expect = -np.expm1(-taus) / taus
+    assert np.max(np.abs(got - expect) / expect) < 1e-13
+
+
+def test_cell_laplace_folds_a_cell_that_straddles_zero():
+    # Cell [-0.03, 0.095] with h = 0.125: int e^(-tau |x|) over it is
+    # (2 - e^(-0.03 tau) - e^(-0.095 tau)) / tau, bounded for every tau.
+    h, left = 0.125, np.array([-0.03, 0.095])
+    taus = np.geomspace(1e-3, 1e4, 71)
+    got = _cell_laplace(left, np.array([1.0, 0.0]), h, taus)
+    expect = (2.0 - np.exp(-0.03 * taus) - np.exp(-0.095 * taus)) / taus
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - expect) / expect) < 1e-9
+    both = _cell_laplace(left, np.array([1.0, 2.0]), h, taus)
+    assert np.allclose(both, expect + 2.0 * np.exp(-0.095 * taus) * -np.expm1(-h * taus) / taus, rtol=1e-12)
+
+
+def test_representation_closed_form_indicator_tight():
+    # The cell transform is exact for chi_[0,1], so what is left is the
+    # error of the tau quadrature.
+    kp = KernelParams(dim=1, lam=0.5)
+    g = box_grid([0.0], [16.0], 1024)
+    x = g.axis_centers(0)
+    value = halfspace_representation(Field(g, np.where(x <= 1.0, 1.0, 0.0)), kp)
+    expect = (2.0 ** 1.5 - 2.0) / 0.75
+    assert abs(value - expect) < 1e-5 * expect
+
+
 def test_representation_matches_direct_1d():
     kp = KernelParams(dim=1, lam=0.75)
     f = _halfline_field()
@@ -128,6 +191,20 @@ def test_representation_matches_direct_2d_radial():
     g = box_grid([-6.0, 0.0], [6.0, 12.0], 64)
     pts = g.points().reshape(64, 64, 2)
     vals = np.exp(-(pts[..., 0] ** 2) / 2.0) * np.exp(-((pts[..., 1] - 2.0) ** 2) / 2.0)
+    f = Field(g, vals)
+    value = halfspace_representation(f, kp)
+    direct = reflected_energy(f, f, kp)
+    assert abs(value - direct.value) <= 3.0 * direct.est_error + 5e-3 * abs(value)
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.5])
+def test_representation_matches_direct_3d_separable(lam):
+    # lambda = 1 = N - 2 takes the residue branch, lambda = 1.5 the
+    # branch-cut integral.
+    kp = KernelParams(dim=3, lam=lam)
+    g = box_grid([-6.0, -6.0, 0.0], [6.0, 6.0, 12.0], 32)
+    pts = g.points().reshape(32, 32, 32, 3)
+    vals = np.exp(-(pts[..., 0] ** 2 + pts[..., 1] ** 2) / 2.0) * np.exp(-((pts[..., 2] - 2.0) ** 2) / 2.0)
     f = Field(g, vals)
     value = halfspace_representation(f, kp)
     direct = reflected_energy(f, f, kp)
