@@ -58,21 +58,49 @@ def sub_offsets(dim: int, h: float) -> np.ndarray:
 
 
 def ball_coverage(grid: Grid, center, radius: float) -> np.ndarray:
-    """Fraction of each cell inside the ball, shape = grid.shape."""
-    pts = grid.points()
+    """Fraction of each cell inside the ball, shape = grid.shape.
+
+    Only cells whose center lies, per axis, within radius + half_diag of the
+    ball's center can be inside or on the shell; the rest stay 0, so the work
+    is the ball's bounding box, not the grid.  Distances are per-axis squares
+    summed in axis order, the same floats as the norm of the full point array.
+    A scalar or one-element center is spread over every axis.
+    """
     h = grid.spacing
-    d = np.linalg.norm(pts - np.atleast_1d(center), axis=-1)
-    half_diag = 0.5 * h * np.sqrt(grid.dim) + 0.5 * h / SUBSAMPLE
-    cov = np.zeros(len(pts))
-    cov[d <= radius - half_diag] = 1.0
-    boundary = np.abs(d - radius) < half_diag
-    if np.any(boundary):
-        offs = sub_offsets(grid.dim, h)
-        sub = pts[boundary][:, None, :] + offs[None, :, :]
-        dsub = np.linalg.norm(sub - np.atleast_1d(center), axis=-1)
+    center = np.broadcast_to(np.atleast_1d(np.asarray(center, dtype=float)), (grid.dim,))
+    radius = float(radius)
+    half_diag = float(0.5 * h * np.sqrt(grid.dim) + 0.5 * h / SUBSAMPLE)
+    reach = radius + half_diag
+    cov = np.zeros(grid.shape)
+    box, xs, deltas = [], [], []
+    for k in range(grid.dim):
+        # x - c is nondecreasing in x, so the cells within reach form one index range.
+        x = grid.axis_centers(k)
+        delta = x - center[k]
+        i0 = np.searchsorted(delta, -reach, side="left")
+        i1 = np.searchsorted(delta, reach, side="right")
+        if i1 <= i0:
+            return cov
+        box.append(slice(i0, i1))
+        xs.append(x[i0:i1])
+        deltas.append(delta[i0:i1])
+    d = np.sqrt(sum(dk.reshape((-1,) + (1,) * (grid.dim - 1 - k)) ** 2 for k, dk in enumerate(deltas)))
+    inbox = cov[tuple(box)]
+    inbox[d <= radius - half_diag] = 1.0
+    shell = np.abs(d - radius) < half_diag
+    if shell.any():
+        # Squared distance of subsample (a_0, ..., a_{N-1}) of a shell cell:
+        # per-axis tables (x + step_a - c)^2 gathered and summed in axis order,
+        # laid out as the rows of sub_offsets.
+        steps = (np.arange(SUBSAMPLE) - (SUBSAMPLE - 1) / 2.0) * (h / SUBSAMPLE)
+        terms = []
+        for k, (x, i) in enumerate(zip(xs, np.nonzero(shell))):
+            tab = (x[:, None] + steps - center[k]) ** 2
+            terms.append(tab[i].reshape((-1,) + (1,) * k + (SUBSAMPLE,) + (1,) * (grid.dim - 1 - k)))
+        dsub = np.sqrt(sum(terms)).reshape(len(terms[0]), -1)
         ramp = np.clip((radius - dsub) / (h / SUBSAMPLE) + 0.5, 0.0, 1.0)
-        cov[boundary] = ramp.mean(axis=1)
-    return cov.reshape(grid.shape)
+        inbox[shell] = ramp.mean(axis=1)
+    return cov
 
 
 def halfspace_coverage(grid: Grid, normal, offset: float) -> np.ndarray:

@@ -40,8 +40,10 @@ def _mass_parts(f: Field, kp: KernelParams) -> tuple:
 def hemiball_radius(f: Field, kp: KernelParams, a) -> float:
     """Radius r with int_{B_r(a)} |f|^p = half the total |f|^p mass.
 
-    Bisection on the monotone coverage-weighted mass profile; residual
-    imbalance at most 1e-6 of the total mass.
+    Bisection (``bisect_increasing``) on the monotone coverage-weighted mass
+    profile: it stops once the imbalance is below 1e-9 of the total mass or
+    the radius bracket is narrower than 1e-14 max(1, r), after at most 120
+    halvings.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     dens, tail, total = _mass_parts(f, kp)

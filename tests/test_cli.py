@@ -134,6 +134,21 @@ def test_hemiball_command_with_expected_value(tmp_path):
     assert run(cfg, str(tmp_path)) == EXIT_PASS
 
 
+def test_hemiball_command_spreads_a_numeric_centre_over_every_axis(tmp_path):
+    doc = {
+        "command": "hemiball",
+        "kernel": {"dim": 2, "lambda": 1.0},
+        "grid": {"min": -4, "max": 4, "points": 48},
+        "function": {"family": "gaussian"},
+        "region": {"ball": {"center": 0.5, "radius": 1.0}},
+    }
+    assert run(parse_config(json.dumps(doc)), str(tmp_path / "scalar")) == EXIT_PASS
+    doc["region"]["ball"]["center"] = [0.5, 0.5]
+    assert run(parse_config(json.dumps(doc)), str(tmp_path / "list")) == EXIT_PASS
+    scalar = (tmp_path / "scalar" / "report.csv").read_text()
+    assert scalar == (tmp_path / "list" / "report.csv").read_text()
+
+
 def test_failing_verdict_yields_exit_one(tmp_path):
     cfg = parse_config(
         json.dumps(

@@ -1,15 +1,98 @@
 """Fractional cell coverage of balls, half-spaces, boxes, and analytic tails."""
 
-import numpy as np
+import warnings
 
+import numpy as np
+import pytest
+
+from invpos import positivity
 from invpos.coverage import (
+    SUBSAMPLE,
     ball_coverage,
     box_coverage,
     grid_mass,
     halfspace_coverage,
+    sub_offsets,
     tail_mass_1d,
 )
-from invpos.fields import ExtremizerSpec, box_grid
+from invpos.fields import ExtremizerSpec, KernelParams, box_grid
+
+
+def _full_grid_ball_coverage(grid, center, radius):
+    """The ball coverage computed on every cell of the grid, for comparison."""
+    pts = grid.points()
+    h = grid.spacing
+    d = np.linalg.norm(pts - np.atleast_1d(center), axis=-1)
+    half_diag = 0.5 * h * np.sqrt(grid.dim) + 0.5 * h / SUBSAMPLE
+    cov = np.zeros(len(pts))
+    cov[d <= radius - half_diag] = 1.0
+    boundary = np.abs(d - radius) < half_diag
+    if np.any(boundary):
+        sub = pts[boundary][:, None, :] + sub_offsets(grid.dim, h)[None, :, :]
+        dsub = np.linalg.norm(sub - np.atleast_1d(center), axis=-1)
+        ramp = np.clip((radius - dsub) / (h / SUBSAMPLE) + 0.5, 0.0, 1.0)
+        cov[boundary] = ramp.mean(axis=1)
+    return cov.reshape(grid.shape)
+
+
+_GRIDS = {
+    1: box_grid([-20.0], [20.0], 2048),
+    2: box_grid([-1.0, -3.0], [3.0, 1.0], 37),
+    3: box_grid([-1.25, -1.25, 0.75], [1.25, 1.25, 3.25], 20),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_ball_coverage_matches_the_full_grid_formula(dim):
+    g = _GRIDS[dim]
+    h = g.spacing
+    half_diag = 0.5 * h * np.sqrt(dim) + 0.5 * h / SUBSAMPLE
+    span = float(np.max(g.hi - g.lo))
+    rng = np.random.default_rng(dim)
+    balls = []
+    for _ in range(60):
+        # Centres inside and up to half a box width outside the grid.
+        c = g.lo + (g.hi - g.lo) * rng.uniform(-0.5, 1.5, dim)
+        balls += [(c, rng.uniform(0.0, span)), (c, rng.uniform(0.0, half_diag)), (c, 0.0)]
+        # Centres and radii on cell centres and edges.
+        balls.append((g.lo + 0.5 * h * rng.integers(0, 2 * g.shape[0] + 1, dim), 0.5 * h * rng.integers(0, 12)))
+    # Balls that miss the grid, and one that covers it.
+    balls += [(g.hi + 1.0, 0.5), (g.lo - 2.0 * h, h), (g.lo - 1.0, 0.9), (0.5 * (g.lo + g.hi), 2.0 * span)]
+    # A scalar or one-element centre is spread over every axis.
+    balls += [(0.5, 0.4 * span), ([0.5], 0.4 * span), (-0.25, 3.0 * h)]
+    for c, r in balls:
+        assert np.array_equal(ball_coverage(g, c, r), _full_grid_ball_coverage(g, c, r)), (c, r)
+
+
+def test_ball_coverage_rejects_a_centre_of_the_wrong_length():
+    with pytest.raises(ValueError):
+        ball_coverage(_GRIDS[2], [0.0, 0.0, 0.0], 1.0)
+    with pytest.raises(ValueError):
+        ball_coverage(_GRIDS[3], [0.0, 0.0], 1.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_ball_coverage_far_out_balls_raise_nothing(dim):
+    g = _GRIDS[dim]
+    mid = 0.5 * (g.lo + g.hi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for big in (1e300, -1e300):
+            assert not ball_coverage(g, np.full(dim, big), 1.0).any()
+            assert not ball_coverage(g, np.full(dim, big), 0.0).any()
+            assert not ball_coverage(g, np.full(dim, big), -1e300).any()
+        assert not ball_coverage(g, mid, -1e300).any()
+        assert np.all(ball_coverage(g, mid, 1e300) == 1.0)
+
+
+def test_newton_zero_overlap_unchanged_by_the_bounding_box():
+    kp = KernelParams(dim=3, lam=1.0)
+    boxed = positivity.newton_zero_overlap(kp)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(positivity, "ball_coverage", _full_grid_ball_coverage)
+        full = positivity.newton_zero_overlap(kp)
+    assert np.array_equal(boxed.field.values, full.field.values)
+    assert boxed.overlap == full.overlap
 
 
 def test_ball_coverage_area_2d():

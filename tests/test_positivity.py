@@ -197,6 +197,21 @@ def test_representation_matches_direct_2d_radial():
     assert abs(value - direct.value) <= 3.0 * direct.est_error + 5e-3 * abs(value)
 
 
+def test_representation_gap_2d_radial_shrinks_with_the_grid():
+    # The oracle's rho quadrature carries an O(h^2) bias: its gap to the
+    # direct sum falls by about 3.5 per halving of h (0.033, 0.0090, 0.0026
+    # at 32^2, 64^2, 128^2), so the 64^2 gap is a grid error, not a bad est.
+    kp = KernelParams(dim=2, lam=1.5)
+    gaps = []
+    for n in (32, 64, 128):
+        g = box_grid([-6.0, 0.0], [6.0, 12.0], n)
+        x, y = g.axis_centers(0), g.axis_centers(1)
+        f = Field(g, np.exp(-(x[:, None] ** 2) / 2.0) * np.exp(-((y[None, :] - 2.0) ** 2) / 2.0))
+        gaps.append(abs(halfspace_representation(f, kp) - reflected_energy(f, f, kp, estimate=False).value))
+    assert gaps[0] >= 3.0 * gaps[1]
+    assert gaps[1] >= 3.0 * gaps[2]
+
+
 @pytest.mark.parametrize("lam", [1.0, 1.5])
 def test_representation_matches_direct_3d_separable(lam):
     # lambda = 1 = N - 2 takes the residue branch, lambda = 1.5 the
