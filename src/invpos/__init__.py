@@ -2,7 +2,7 @@
 
 Submodules: geometry (balls, half-spaces, conformal maps), fields (grids,
 sampled functions, lifted transforms), coverage (cell-overlap quadrature),
-energy (direct/radial/Fourier energies, sharp constant), positivity
+energy (direct/radial energies, sharp constant), positivity
 (defects, representation oracle, counterexamples), symmetrize (iterative
 inversion symmetrization), lizhu (hemi-balls and invariant measures), cli
 (batch front-end).
@@ -38,11 +38,8 @@ _EXPORTS = {
     "coverage": ["BracketingError", "ball_coverage", "halfspace_coverage", "box_coverage", "grid_mass", "tail_mass_1d"],
     "energy": [
         "EnergyResult",
-        "FourierCalibration",
         "energy_direct",
         "energy_radial",
-        "energy_fourier",
-        "calibrate_fourier",
         "riesz_potential",
         "sharp_constant",
         "rayleigh_quotient",

@@ -194,18 +194,12 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _build_grid(cfg: RunConfig):
-    from .fields import Grid
+    from .fields import box_grid
 
-    import numpy as np
-
-    lo = np.asarray(cfg.grid_min)
-    hi = np.asarray(cfg.grid_max)
-    shape = tuple(cfg.points)
-    spacing = float((hi[0] - lo[0]) / shape[0])
-    for a in range(1, cfg.dim):
-        if abs((hi[a] - lo[a]) / shape[a] - spacing) > 1e-12 * spacing:
-            raise ConfigError("grid must have equal spacing on every axis")
-    return Grid(lo=lo, spacing=spacing, shape=shape)
+    try:
+        return box_grid(cfg.grid_min, cfg.grid_max, cfg.points)
+    except ValueError as exc:
+        raise ConfigError("grid must have equal spacing on every axis") from exc
 
 
 def _build_field(cfg: RunConfig, kp, grid):

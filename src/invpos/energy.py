@@ -25,9 +25,8 @@ from .fields import Field, KernelParams, coarsen, lp_norm
 
 # How an est_error was obtained: "richardson" measured against the
 # factor-2 coarsened grid, "guessed" a fixed fraction of the value where the
-# grid is too small to coarsen, "calibration" scaled from the Fourier
-# calibration residual, "none" not estimated (est_error NaN).
-EST_KINDS = ("richardson", "guessed", "calibration", "none")
+# grid is too small to coarsen, "none" not estimated (est_error NaN).
+EST_KINDS = ("richardson", "guessed", "none")
 
 
 @dataclass(frozen=True)
@@ -44,18 +43,6 @@ class EnergyResult:
             raise ValueError("est_error must be non-negative")
         if self.est_kind not in EST_KINDS:
             raise ValueError(f"est_kind must be one of {', '.join(EST_KINDS)}")
-
-
-@dataclass(frozen=True)
-class FourierCalibration:
-    """Calibrated constant in the |xi|^(lambda-N) Fourier-side energy."""
-
-    a_const: float
-    calib_residual: float
-
-    def __post_init__(self):
-        if not self.a_const > 0:
-            raise ValueError("a_const must be positive")
 
 
 @functools.lru_cache(maxsize=None)
@@ -297,57 +284,10 @@ def rayleigh_quotient(f: Field, kp: KernelParams) -> float:
     return energy_direct(f, f, kp, estimate=False).value / norm**2
 
 
-def _fourier_side_sum(f: Field, kp: KernelParams, pad: int = 4) -> float:
-    g = f.grid
-    padded = tuple(pad * n for n in g.shape)
-    fhat = np.fft.fftn(f.values, s=padded, axes=tuple(range(g.dim))) * g.cell_volume() * (
-        2.0 * np.pi
-    ) ** (-g.dim / 2.0)
-    axes = [2.0 * np.pi * np.fft.fftfreq(m, d=g.spacing) for m in padded]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    xi2 = sum(m * m for m in mesh)
-    origin = (0,) * g.dim
-    xi2[origin] = 1.0
-    w = xi2 ** ((kp.lam - g.dim) / 2.0)
-    w[origin] = 0.0
-    dxi = np.prod([2.0 * np.pi / (m * g.spacing) for m in padded])
-    return float(np.sum(w * np.abs(fhat) ** 2) * dxi)
-
-
 def gaussian_field(grid, center, width: float, amplitude: float = 1.0) -> Field:
     pts = grid.points()
     d2 = np.sum((pts - np.atleast_1d(center)) ** 2, axis=-1)
     return Field(grid, (amplitude * np.exp(-d2 / (2.0 * width**2))).reshape(grid.shape))
-
-
-def calibrate_fourier(kp: KernelParams, probe: Field) -> FourierCalibration:
-    """Fix the positive constant relating I_lambda to the Fourier-side energy.
-
-    The constant is the ratio of energy_direct to the discrete (zero-padded)
-    transform sum on a Gaussian probe; the residual is the relative
-    mismatch of the same ratio on a differently scaled Gaussian.
-    """
-    if np.any(probe.values < 0):
-        raise ValueError("calibration probe must be a non-negative Gaussian field")
-    direct = energy_direct(probe, probe, kp)
-    if direct.value <= 0 or direct.est_error > 5e-2 * abs(direct.value):
-        raise ValueError("probe is not smooth enough for calibration")
-    a1 = direct.value / _fourier_side_sum(probe, kp)
-    # Second probe: Gaussian with width from the probe's mass profile, scaled.
-    total = probe.values.sum()
-    pts = probe.grid.points()
-    mean = (probe.values.ravel() @ pts) / total
-    var = (probe.values.ravel() @ np.sum((pts - mean) ** 2, axis=-1)) / total
-    width2 = 1.5 * np.sqrt(var / probe.dim)
-    probe2 = gaussian_field(probe.grid, mean, width2)
-    a2 = energy_direct(probe2, probe2, kp, estimate=False).value / _fourier_side_sum(probe2, kp)
-    return FourierCalibration(a_const=a1, calib_residual=abs(a2 - a1) / a1)
-
-
-def energy_fourier(f: Field, kp: KernelParams, calib: FourierCalibration) -> EnergyResult:
-    value = calib.a_const * _fourier_side_sum(f, kp)
-    est = abs(value) * max(calib.calib_residual, 1e-12)
-    return EnergyResult(value=value, quadrature="fourier", est_error=est, est_kind="calibration")
 
 
 def el_residual(f: Field, kp: KernelParams) -> float:
@@ -362,8 +302,6 @@ def el_residual(f: Field, kp: KernelParams) -> float:
     fp = f.values ** (kp.p - 1.0)
     interior = np.ones(f.grid.shape, dtype=bool)
     for axis, n in enumerate(f.grid.shape):
-        idx = [slice(None)] * f.dim
-        idx[axis] = slice(n // 4, (3 * n) // 4)
         keep = np.zeros(n, dtype=bool)
         keep[n // 4 : (3 * n) // 4] = True
         shape = [1] * f.dim

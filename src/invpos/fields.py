@@ -285,17 +285,16 @@ def split_in_out(region, f: Field, kp: KernelParams) -> tuple:
     return fi, fo, theta_f, inside
 
 
-def coarsen(f: Field, factor: int = 2) -> Field:
-    """Block-average onto a grid with ``factor`` times the spacing."""
+def coarsen(f: Field) -> Field:
+    """Block-average 2^N cells at a time onto a grid with twice the spacing."""
     g = f.grid
-    new_shape = tuple(n // factor for n in g.shape)
+    new_shape = tuple(n // 2 for n in g.shape)
     if any(n < 2 for n in new_shape):
         raise ValueError("grid too small to coarsen")
-    trimmed = f.values[tuple(slice(0, n * factor) for n in new_shape)]
-    v = trimmed
+    v = f.values[tuple(slice(0, n * 2) for n in new_shape)]
     for axis in range(g.dim):
-        v = v.reshape(v.shape[:axis] + (new_shape[axis], factor) + v.shape[axis + 1 :]).mean(axis=axis + 1)
-    return Field(Grid(g.lo, g.spacing * factor, new_shape), v, tail=f.tail)
+        v = v.reshape(v.shape[:axis] + (new_shape[axis], 2) + v.shape[axis + 1 :]).mean(axis=axis + 1)
+    return Field(Grid(g.lo, g.spacing * 2, new_shape), v, tail=f.tail)
 
 
 # --- CSV serialization (CLI interchange format) ---

@@ -16,7 +16,7 @@ import numpy as np
 
 from .coverage import BracketingError, bisect_increasing, sub_offsets
 from .coverage import ball_coverage, grid_mass, halfspace_coverage, tail_mass_1d
-from .fields import Ball, Field, HalfSpace, eval_field, fit_family
+from .fields import Ball, ExtremizerSpec, Field, HalfSpace, eval_field, fit_family
 from .geometry import invert_point, reflect_point
 
 
@@ -323,8 +323,7 @@ def fit_invariant_density(v: Field) -> InvariantDensityFit:
     alpha, beta, center = fit_family(vals, pts, n, alpha0, beta0, center0, max_nfev=500)
     if not np.isfinite(alpha) or not np.isfinite(beta):
         raise RuntimeError("degenerate invariant-density fit")
-    d2 = np.sum((pts - center) ** 2, axis=-1)
-    model = alpha * (beta + d2) ** (-n)
+    model = ExtremizerSpec(alpha, beta, center, n)(pts)
     err = float(np.sum(np.abs(model - vals)) / np.sum(np.abs(vals)))
     return InvariantDensityFit(alpha=alpha, beta=beta, center=center, fit_error=err, mass_divergence=diverges)
 
@@ -335,7 +334,11 @@ class RadialDecreasingReport:
     max_monotonicity_violation: float
 
 
-def check_radial_decreasing(m: Measure, n_samples: int = 12, seed: int = 0) -> RadialDecreasingReport:
+# Sampled ball pairs per radial-decreasing check.
+_RADIAL_SAMPLES = 12
+
+
+def check_radial_decreasing(m: Measure, seed: int = 0) -> RadialDecreasingReport:
     """Sampled radiality and ray-monotonicity checks on ball masses.
 
     Radiality compares congruent balls at equal center distance from the
@@ -348,7 +351,7 @@ def check_radial_decreasing(m: Measure, n_samples: int = 12, seed: int = 0) -> R
     dim = m.dim
     rad_viol = 0.0
     mono_viol = 0.0
-    for _ in range(n_samples):
+    for _ in range(_RADIAL_SAMPLES):
         dist = rng.uniform(0.3, 2.0)
         r = rng.uniform(0.1, 0.5) * dist
         e1 = rng.normal(size=dim)

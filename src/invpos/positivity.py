@@ -182,22 +182,22 @@ def _cell_laplace(left: np.ndarray, values: np.ndarray, h: float, taus: np.ndarr
     return lap + (c(left[cut] + h) + c(-left[cut]) - full) @ values[cut]
 
 
-def _tau_quadrature(lam: float, break_point: float = 1.0, tau_max: float = 1e4):
+def _tau_quadrature(lam: float):
     """Nodes/weights for int_0^inf tau^(lam-1) q(tau) dtau with q smooth.
 
-    Near 0 the substitution tau = u^(1/lam) absorbs the power; beyond the
-    break point log-spaced Gauss-Legendre panels are used with the power
+    On [0, 1] the substitution tau = u^(1/lam) absorbs the power; on
+    [1, 1e4] log-spaced Gauss-Legendre panels are used with the power
     folded into the weights.
     """
     nodes, weights = np.polynomial.legendre.leggauss(16)
-    u_edges = np.linspace(0.0, break_point**lam, 24 + 1)
+    u_edges = np.linspace(0.0, 1.0, 24 + 1)
     taus, ws = [], []
     for lo, hi in zip(u_edges[:-1], u_edges[1:]):
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         u = mid + half * nodes
         taus.append(u ** (1.0 / lam))
         ws.append(half * weights / lam)
-    log_edges = np.geomspace(break_point, tau_max, 30 + 1)
+    log_edges = np.geomspace(1.0, 1e4, 30 + 1)
     for lo, hi in zip(log_edges[:-1], log_edges[1:]):
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         t = mid + half * nodes

@@ -116,13 +116,15 @@ class ExtremizerFit:
     fit_error: float
 
 
+# Regions drawn per sweep by the seeded random schedule.
+_STEPS_PER_RANDOM_SWEEP = 4
+
+
 @dataclass
 class SymmetrizationConfig:
     max_sweeps: int = 50
     tol_stop: float = 1e-5
-    ball_offsets: bool = True
     seed: Optional[int] = None  # if set, random sweep directions/centers
-    steps_per_sweep_random: int = 4
 
 
 @dataclass
@@ -155,7 +157,7 @@ def fit_extremizer(f: Field, kp: KernelParams) -> ExtremizerFit:
     alpha0 = float(np.max(f.values)) * beta0**power
     pts = f.grid.points()
     alpha, beta, center = fit_family(f.values.ravel(), pts, power, max(alpha0, 1e-12), beta0, y0, max_nfev=400)
-    model = Field(f.grid, (alpha * (beta + np.sum((pts - center) ** 2, axis=-1)) ** (-power)).reshape(f.grid.shape))
+    model = Field(f.grid, ExtremizerSpec(alpha, beta, center, power)(pts).reshape(f.grid.shape))
     diff = Field(f.grid, model.values - f.values)
     err = lp_norm(diff, kp.p) / lp_norm(f, kp.p)
     return ExtremizerFit(alpha=alpha, beta=beta, center=center, fit_error=float(err))
@@ -187,15 +189,14 @@ def run_symmetrization(f0: Field, kp: KernelParams, config: Optional[Symmetrizat
                 regions.append(("space", e))
             c = _centroid(f, kp)
             centers = [c]
-            if cfg.ball_offsets:
-                for k in range(dim):
-                    off = np.zeros(dim)
-                    off[k] = h
-                    centers.extend([c + off, c - off])
+            for k in range(dim):
+                off = np.zeros(dim)
+                off[k] = h
+                centers.extend([c + off, c - off])
             for a in centers:
                 regions.append(("ball", a))
         else:
-            for _ in range(cfg.steps_per_sweep_random):
+            for _ in range(_STEPS_PER_RANDOM_SWEEP):
                 if rng.random() < 0.5:
                     e = rng.normal(size=dim)
                     regions.append(("space", e / np.linalg.norm(e)))

@@ -341,6 +341,14 @@ def test_config_faults_exit_two_without_traceback(tmp_path, doc):
     assert proc.stderr.startswith("config error:") and proc.stderr.count("\n") == 1, proc.stderr
 
 
+def test_unequal_grid_spacing_exits_two_with_its_message(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    doc = dict(_SMALL_2D, command="energy", grid={"min": [-8, -4], "max": [8, 4], "points": [64, 64]})
+    cfg.write_text(json.dumps(doc))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: grid must have equal spacing on every axis\n"
+
+
 def test_huge_halfspace_normal_is_normalized(tmp_path):
     doc = dict(_SMALL_2D, region={"halfspace": {"normal": [-1e300, -1e300], "offset": 0.5}})
     assert run(parse_config(json.dumps(doc)), str(tmp_path)) == EXIT_PASS

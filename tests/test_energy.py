@@ -9,10 +9,8 @@ from scipy.special import gamma
 
 from invpos import energy
 from invpos.energy import (
-    calibrate_fourier,
     el_residual,
     energy_direct,
-    energy_fourier,
     energy_radial,
     gaussian_field,
     rayleigh_quotient,
@@ -148,17 +146,6 @@ def test_energy_radial_matches_direct():
     fr = Field(gr, np.exp(-(r ** 2) / 2.0))
     rad = energy_radial(fr, fr, kp)
     assert abs(rad.value - direct.value) < 0.01 * direct.value
-
-
-def test_energy_fourier_calibrated_matches_direct():
-    kp = KernelParams(dim=1, lam=0.5)
-    g = box_grid([-12.0], [12.0], 1024)
-    probe = gaussian_field(g, [0.0], 1.0)
-    calib = calibrate_fourier(kp, probe)
-    f = gaussian_field(g, [0.5], 0.8)
-    four = energy_fourier(f, kp, calib)
-    direct = energy_direct(f, f, kp)
-    assert abs(four.value - direct.value) < 0.05 * direct.value
 
 
 # --- the cached Riesz operator against the uncached rules it replaced ---
