@@ -1,11 +1,11 @@
 """Desk-scale verification of inversion positivity for the sharp HLS energy.
 
 Submodules: geometry (balls, half-spaces, conformal maps), fields (grids,
-sampled functions, lifted transforms), coverage (cell-overlap quadrature),
-energy (direct/radial energies, sharp constant), positivity
-(defects, representation oracle, counterexamples), symmetrize (iterative
-inversion symmetrization), lizhu (hemi-balls and invariant measures), cli
-(batch front-end).
+sampled functions, lifted transforms), coverage (cell-overlap quadrature,
+region masses and the centred half-mass search), energy (direct/radial
+energies, sharp constant), positivity (defects, representation oracle,
+counterexamples), symmetrize (iterative inversion symmetrization), lizhu
+(hemi-balls and invariant measures), cli (batch front-end).
 
 Top-level names are imported lazily so the command-line entry point can pin
 thread counts before any numerical library loads.
@@ -35,7 +35,16 @@ _EXPORTS = {
         "write_field_csv",
         "read_field_csv",
     ],
-    "coverage": ["BracketingError", "ball_coverage", "halfspace_coverage", "box_coverage", "grid_mass", "tail_mass_1d"],
+    "coverage": [
+        "BracketingError",
+        "ball_coverage",
+        "halfspace_coverage",
+        "box_coverage",
+        "grid_mass",
+        "tail_mass_1d",
+        "density_mass",
+        "half_mass_radius",
+    ],
     "energy": [
         "EnergyResult",
         "energy_direct",

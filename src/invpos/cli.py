@@ -36,6 +36,16 @@ COMMANDS = (
 
 _FAMILIES = ("extremizer", "gaussian", "indicator")
 
+# The tolerance names each command reads; other commands read none.
+_TOLERANCES = {
+    "energy": ("rel_tol",),
+    "transform": ("sigma",),
+    "represent": ("rel_tol",),
+    "symmetrize": ("fit_error",),
+    "hemiball": ("expected", "abs_tol"),
+    "lizhu-check": ("cv_tol", "dev_tol"),
+}
+
 
 class ConfigError(ValueError):
     """Invalid run configuration; maps to exit code 2."""
@@ -119,6 +129,8 @@ def parse_config(text: str) -> RunConfig:
     for lo, hi in zip(grid_min, grid_max):
         if not lo < hi:
             raise ConfigError("grid.min must be strictly below grid.max on every axis")
+        if not math.isfinite(hi - lo):
+            raise ConfigError("grid.max - grid.min must be a finite number on every axis")
     for n in points:
         if not 8 <= n <= 4096:
             raise ConfigError("grid.points must lie in [8, 4096]")
@@ -174,6 +186,7 @@ def parse_config(text: str) -> RunConfig:
     tolerances = doc.get("tolerances", {})
     if not isinstance(tolerances, dict) or not all(_is_number(v) for v in tolerances.values()):
         raise ConfigError("tolerances must map names to numbers")
+    _check_keys(tolerances, _TOLERANCES.get(command, ()), "tolerances")
 
     seed = doc.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool) or seed < 0):

@@ -2,7 +2,9 @@
 
 Boundary cells get a fractional weight from a 3^N subsample with a linear
 ramp at the interface, so the mass is continuous and monotone in the region
-parameter; bisection on it converges to arbitrary tolerance.
+parameter; bisection on it converges to arbitrary tolerance.  The hemi-ball
+searches of ``symmetrize`` and ``lizhu`` weigh their densities with
+``density_mass`` and find centred half-mass radii with ``half_mass_radius``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import quad
 
-from .fields import ExtremizerSpec, Grid
+from .fields import ExtremizerSpec, Field, Grid
+from .geometry import Ball
 
 SUBSAMPLE = 3
 
@@ -28,7 +31,8 @@ def bisect_increasing(
     """Zero of an increasing function, such as a mass minus half the total mass.
 
     With ``max_hi`` set, hi first doubles until excess(hi) >= 0, and
-    BracketingError is raised once hi passes max_hi; without it [lo, hi] is
+    BracketingError is raised once hi passes max_hi or overflows to inf
+    (max_hi itself may be inf for a huge grid); without it [lo, hi] is
     taken as a bracket and hi is never evaluated.  At most 120 halvings
     follow, stopping when |excess| < 1e-9 total or the bracket is narrower
     than 1e-14 max(1, |hi|).
@@ -36,7 +40,7 @@ def bisect_increasing(
     if max_hi is not None:
         while excess(hi) < 0:
             hi *= 2.0
-            if hi > max_hi:
+            if hi > max_hi or hi == np.inf:
                 raise BracketingError(f"could not bracket half the mass below {max_hi:.6g}")
     for _ in range(120):
         mid = 0.5 * (lo + hi)
@@ -158,3 +162,39 @@ def tail_mass_1d(tail: ExtremizerSpec, grid: Grid, within=None) -> float:
         val, _ = quad(lambda x: tail(np.array([[x]]))[0], a, b)
         total += val
     return total
+
+
+def density_mass(f: Field, region=None) -> float:
+    """Mass of the density f in a Ball or HalfSpace, or in all space for None.
+
+    The grid values are weighted by the region's cell coverage; a 1-D field
+    with an analytic tail adds the tail's mass over the region's trace on
+    the line.
+    """
+    g = f.grid
+    if region is None:
+        m, within = grid_mass(g, f.values), None
+    elif isinstance(region, Ball):
+        m = grid_mass(g, f.values, ball_coverage(g, region.center, region.radius))
+        within = (region.center[0] - region.radius, region.center[0] + region.radius)
+    else:
+        m = grid_mass(g, f.values, halfspace_coverage(g, region.normal, region.offset))
+        within = (region.offset, np.inf) if region.normal[0] > 0 else (-np.inf, -region.offset)
+    if f.tail is not None and f.dim == 1:
+        m += tail_mass_1d(f.tail, g, within=within)
+    return m
+
+
+def half_mass_radius(f: Field, a, total: float) -> float:
+    """Radius r with mass total / 2 of the density f in the ball B_r(a).
+
+    The bracket starts at [0, h] and doubles its upper end; BracketingError
+    is raised past 64 times the grid's widest side.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+
+    def excess(r: float) -> float:
+        return density_mass(f, Ball(a, r)) - 0.5 * total
+
+    span = float(np.max(f.grid.hi - f.grid.lo))
+    return bisect_increasing(excess, 0.0, f.grid.spacing, total, max_hi=64.0 * span)

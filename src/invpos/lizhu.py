@@ -14,8 +14,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .coverage import BracketingError, bisect_increasing, sub_offsets
-from .coverage import ball_coverage, grid_mass, halfspace_coverage, tail_mass_1d
+from .coverage import BracketingError, bisect_increasing, density_mass, half_mass_radius, sub_offsets
 from .fields import Ball, ExtremizerSpec, Field, HalfSpace, eval_field, fit_family
 from .geometry import invert_point, reflect_point
 
@@ -70,10 +69,7 @@ class Measure:
         # integrals, and every hemi-ball bisection reads it.
         if self.points is not None:
             return float(self.weights.sum())
-        total = grid_mass(self.density.grid, self.density.values)
-        if self.density.tail is not None and self.density.dim == 1:
-            total += tail_mass_1d(self.density.tail, self.density.grid)
-        return total
+        return density_mass(self.density)
 
     def mass_in_ball(self, ball: Ball) -> float:
         if self.points is not None:
@@ -82,24 +78,13 @@ class Measure:
             on_sphere = np.abs(d - ball.radius) <= 1e-12 * ball.radius
             # Boundary atoms split evenly between ball and complement.
             return float(self.weights[inside].sum() + 0.5 * self.weights[on_sphere].sum())
-        f = self.density
-        m = grid_mass(f.grid, f.values, ball_coverage(f.grid, ball.center, ball.radius))
-        if f.tail is not None and f.dim == 1:
-            m += tail_mass_1d(f.tail, f.grid, within=(ball.center[0] - ball.radius, ball.center[0] + ball.radius))
-        return m
+        return density_mass(self.density, ball)
 
     def mass_in_halfspace(self, hs: HalfSpace) -> float:
         if self.points is not None:
             s = self.points @ hs.normal - hs.offset
             return float(self.weights[s > 1e-12].sum() + 0.5 * self.weights[np.abs(s) <= 1e-12].sum())
-        f = self.density
-        m = grid_mass(f.grid, f.values, halfspace_coverage(f.grid, hs.normal, hs.offset))
-        if f.tail is not None and f.dim == 1:
-            if hs.normal[0] > 0:
-                m += tail_mass_1d(f.tail, f.grid, within=(hs.offset, np.inf))
-            else:
-                m += tail_mass_1d(f.tail, f.grid, within=(-np.inf, -hs.offset))
-        return m
+        return density_mass(self.density, hs)
 
 
 def pushforward_mass(m: Measure, region, target) -> float:
@@ -236,27 +221,17 @@ def check_pointwise_invariance(v: Field, b: Ball) -> float:
     return float(dev.max())
 
 
-def _hemiball_radius_at(m: Measure, a: np.ndarray, total: float) -> float:
-    """Radius of the ball centered at a that holds mass total / 2 of m."""
-
-    def excess(r: float) -> float:
-        return m.mass_in_ball(Ball(center=a, radius=r)) - 0.5 * total
-
-    return bisect_increasing(excess, 1e-12, 1.0, total, max_hi=1e9)
-
-
 def check_mass_identity(v: Field, centers) -> float:
     """Coefficient of variation of r_a^(2N) v(a) over the given centers.
 
     r_a is the radius of the hemi-ball of the density centered at a (found
-    by radius bisection); near 0 for the invariant family.
+    by ``coverage.half_mass_radius``); near 0 for the invariant family.
     """
-    m = Measure(density=v)
-    total = m.total_mass
+    total = Measure(density=v).total_mass
     vals = []
     for a in centers:
         a = np.atleast_1d(np.asarray(a, dtype=float))
-        r_a = _hemiball_radius_at(m, a, total)
+        r_a = half_mass_radius(v, a, total)
         va = float(eval_field(v, a))
         vals.append(r_a ** (2 * v.dim) * va)
     vals = np.asarray(vals)
@@ -318,7 +293,7 @@ def fit_invariant_density(v: Field) -> InvariantDensityFit:
     peak_frac = float(vals.max()) * g.cell_volume() / total
     diverges = peak_frac > 0.05
     center0 = (vals @ pts) / vals.sum()
-    beta0 = max(_hemiball_radius_at(Measure(density=v), center0, total), 1e-6) ** 2
+    beta0 = max(half_mass_radius(v, center0, total), 1e-6) ** 2
     alpha0 = max(float(vals.max()), 1e-300) * beta0**n
     alpha, beta, center = fit_family(vals, pts, n, alpha0, beta0, center0, max_nfev=500)
     if not np.isfinite(alpha) or not np.isfinite(beta):

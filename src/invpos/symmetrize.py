@@ -13,66 +13,46 @@ from typing import List, Optional
 
 import numpy as np
 
-from .coverage import BracketingError, ball_coverage, bisect_increasing, grid_mass, halfspace_coverage, tail_mass_1d
+from .coverage import BracketingError, bisect_increasing, density_mass, half_mass_radius
 from .energy import energy_direct
 from .fields import Ball, ExtremizerSpec, Field, HalfSpace, KernelParams, fit_family, lp_norm, split_in_out
 
 
-def _mass_density(f: Field, kp: KernelParams) -> np.ndarray:
-    return np.abs(f.values) ** kp.p
-
-
-def _mass_parts(f: Field, kp: KernelParams) -> tuple:
-    """|f|^p on the grid, its analytic 1-D tail (or None) and the total mass."""
-    dens = _mass_density(f, kp)
-    total = grid_mass(f.grid, dens)
+def _lp_density(f: Field, kp: KernelParams) -> tuple:
+    """|f|^p as a density Field, with its analytic 1-D tail, and its total mass."""
     tail = None
     if f.tail is not None and f.dim == 1:
         # |f|^p of an extremizer tail is again a family member, with power N.
         t = f.tail
         tail = ExtremizerSpec(alpha=abs(t.alpha) ** kp.p, beta=t.beta, center=t.center, power=kp.p * t.power)
-        total += tail_mass_1d(tail, f.grid)
+    dens = Field(f.grid, np.abs(f.values) ** kp.p, tail=tail)
+    total = density_mass(dens)
     if total <= 0:
         raise ValueError("zero field has no half-mass region")
-    return dens, tail, total
+    return dens, total
 
 
 def hemiball_radius(f: Field, kp: KernelParams, a) -> float:
     """Radius r with int_{B_r(a)} |f|^p = half the total |f|^p mass.
 
-    Bisection (``bisect_increasing``) on the monotone coverage-weighted mass
-    profile: it stops once the imbalance is below 1e-9 of the total mass or
-    the radius bracket is narrower than 1e-14 max(1, r), after at most 120
-    halvings.
+    Bisection (``coverage.half_mass_radius``) on the monotone
+    coverage-weighted mass profile: it stops once the imbalance is below
+    1e-9 of the total mass or the radius bracket is narrower than
+    1e-14 max(1, r), after at most 120 halvings.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    dens, tail, total = _mass_parts(f, kp)
-
-    def excess(r: float) -> float:
-        m = grid_mass(f.grid, dens, ball_coverage(f.grid, a, r))
-        if tail is not None:
-            m += tail_mass_1d(tail, f.grid, within=(a[0] - r, a[0] + r))
-        return m - 0.5 * total
-
-    span = float(np.max(f.grid.hi - f.grid.lo))
-    return bisect_increasing(excess, 0.0, f.grid.spacing, total, max_hi=64.0 * span)
+    dens, total = _lp_density(f, kp)
+    return half_mass_radius(dens, a, total)
 
 
 def hemispace_offset(f: Field, kp: KernelParams, e) -> float:
     """Offset t with int_{x.e > t} |f|^p = half the total |f|^p mass."""
     e = np.atleast_1d(np.asarray(e, dtype=float))
     e = e / np.linalg.norm(e)
-    dens, tail, total = _mass_parts(f, kp)
+    dens, total = _lp_density(f, kp)
 
     def excess(t: float) -> float:
         # Half the total minus the mass above t, which increases with t.
-        m = grid_mass(f.grid, dens, halfspace_coverage(f.grid, e, t))
-        if tail is not None:
-            if e[0] > 0:
-                m += tail_mass_1d(tail, f.grid, within=(t, np.inf))
-            else:
-                m += tail_mass_1d(tail, f.grid, within=(-np.inf, -t))
-        return 0.5 * total - m
+        return 0.5 * total - density_mass(dens, HalfSpace(e, t))
 
     proj = f.grid.points() @ e
     return bisect_increasing(excess, float(proj.min()) - f.grid.spacing, float(proj.max()) + f.grid.spacing, total)
@@ -136,7 +116,8 @@ class SymmetrizationTrace:
 
 
 def _centroid(f: Field, kp: KernelParams) -> np.ndarray:
-    dens = _mass_density(f, kp).ravel()
+    """Centroid of |f|^p over the grid cells."""
+    dens = (np.abs(f.values) ** kp.p).ravel()
     pts = f.grid.points()
     return (dens @ pts) / dens.sum()
 

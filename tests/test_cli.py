@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -88,7 +89,7 @@ def test_energy_run_writes_reports(tmp_path):
     for line in summary.splitlines():
         if " = " in line:
             rhs = line.split(" = ")[-1]
-            if rhs not in ("direct", "fourier", "radial"):
+            if rhs not in ("direct", "radial"):
                 assert rhs in numbers, line
 
 
@@ -347,6 +348,22 @@ def test_unequal_grid_spacing_exits_two_with_its_message(tmp_path, capsys):
     cfg.write_text(json.dumps(doc))
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert capsys.readouterr().err == "config error: grid must have equal spacing on every axis\n"
+
+
+def test_overflowing_grid_width_exits_two_with_its_message(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(_SMALL, grid={"min": -1e308, "max": 1e308, "points": 16})))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: grid.max - grid.min must be a finite number on every axis\n"
+
+
+def test_unread_tolerance_name_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(_SMALL, tolerances={"rel_tl": 1e-9})))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: unknown key tolerances.rel_tl\n"
 
 
 def test_huge_halfspace_normal_is_normalized(tmp_path):

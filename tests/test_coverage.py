@@ -8,7 +8,9 @@ import pytest
 from invpos import positivity
 from invpos.coverage import (
     SUBSAMPLE,
+    BracketingError,
     ball_coverage,
+    bisect_increasing,
     box_coverage,
     grid_mass,
     halfspace_coverage,
@@ -146,3 +148,17 @@ def test_tail_mass_within_window():
     assert abs(tail_mass_1d(tail, g, within=(-5.0, 30.0)) - expect) < 1e-10
     # Window inside the box has no tail contribution.
     assert tail_mass_1d(tail, g, within=(-5.0, 5.0)) == 0.0
+
+
+def test_bracket_that_overflows_raises():
+    # 64 spans of a grid wider than about 3e306 is inf, so the doubled
+    # bracket must stop at the float overflow, not evaluate an infinite radius.
+    seen = []
+
+    def excess(r):
+        assert np.isfinite(r) and len(seen) < 2000
+        seen.append(r)
+        return -1.0
+
+    with pytest.raises(BracketingError):
+        bisect_increasing(excess, 0.0, 1.0, 1.0, max_hi=np.inf)

@@ -60,6 +60,18 @@ def test_density_total_mass_with_tail():
     assert abs(m.total_mass - np.pi) < 1e-6
 
 
+def test_density_tail_clipped_to_the_region_1d():
+    # (1 + x^2)^(-1) on [-4, 4]: most of each region's mass lies in the
+    # tail, clipped to the ball's interval or to one side of the plane.
+    m = Measure(density=_standard_density_1d(n=512, halfwidth=4.0))
+    assert abs(m.mass_in_ball(Ball(center=np.array([3.0]), radius=5.0)) - (np.arctan(8.0) - np.arctan(-2.0))) < 5e-5
+    for t in (-5.0, 0.4, 5.0):
+        above = m.mass_in_halfspace(HalfSpace(normal=np.array([1.0]), offset=t))
+        below = m.mass_in_halfspace(HalfSpace(normal=np.array([-1.0]), offset=t))
+        assert abs(above - (0.5 * np.pi - np.arctan(t))) < 5e-5
+        assert abs(below - (0.5 * np.pi + np.arctan(-t))) < 5e-5
+
+
 def test_hemiball_on_ray_antipodal_oracle_1d():
     # For the standard density the hemi-interval through u contains the
     # antipodal point -1/u: arctan(u) + arctan(1/u) = pi/2 for every u > 0.

@@ -52,6 +52,15 @@ def test_hemispace_offset_at_the_median():
     assert abs(hemispace_offset(f2, KP, np.array([1.0])) - 0.7) < 1e-4
 
 
+def test_hemi_regions_reach_into_the_tail():
+    # The ball B_r(3) holds half of (1 + x^2)^(-1) at r = sqrt(10), which
+    # leaves the [-4, 4] grid; {-x > t} holds half at t = -center.
+    f = _extremizer_field(n=512, halfwidth=4.0)
+    assert abs(hemiball_radius(f, KP, np.array([3.0])) - np.sqrt(10.0)) < 5e-5
+    f2 = _extremizer_field(center=0.7)
+    assert abs(hemispace_offset(f2, KP, np.array([-1.0])) + 0.7) < 5e-5
+
+
 def test_hemiball_bracketing_failure_on_tiny_grid():
     g = box_grid([-0.1], [0.1], 16)
     x = g.axis_centers(0)
