@@ -26,7 +26,7 @@ class BracketingError(RuntimeError):
 
 
 def bisect_increasing(
-    excess: Callable[[float], float], lo: float, hi: float, total: float, max_hi: Optional[float] = None
+    excess: Callable[[float], float], lo: float, hi: float, tol: float, max_hi: Optional[float] = None
 ) -> float:
     """Zero of an increasing function, such as a mass minus half the total mass.
 
@@ -34,8 +34,9 @@ def bisect_increasing(
     BracketingError is raised once hi passes max_hi or overflows to inf
     (max_hi itself may be inf for a huge grid); without it [lo, hi] is
     taken as a bracket and hi is never evaluated.  At most 120 halvings
-    follow, stopping when |excess| < 1e-9 total or the bracket is narrower
-    than 1e-14 max(1, |hi|).
+    follow, stopping when |excess| < tol or the bracket is narrower than
+    1e-14 max(1, |hi|).  The half-mass searches pass tol = 1e-9 of the
+    total mass.
     """
     if max_hi is not None:
         while excess(hi) < 0:
@@ -45,7 +46,7 @@ def bisect_increasing(
     for _ in range(120):
         mid = 0.5 * (lo + hi)
         e = excess(mid)
-        if abs(e) < 1e-9 * total or hi - lo < 1e-14 * max(1.0, abs(hi)):
+        if abs(e) < tol or hi - lo < 1e-14 * max(1.0, abs(hi)):
             return mid
         if e < 0:
             lo = mid
@@ -197,4 +198,4 @@ def half_mass_radius(f: Field, a, total: float) -> float:
         return density_mass(f, Ball(a, r)) - 0.5 * total
 
     span = float(np.max(f.grid.hi - f.grid.lo))
-    return bisect_increasing(excess, 0.0, f.grid.spacing, total, max_hi=64.0 * span)
+    return bisect_increasing(excess, 0.0, f.grid.spacing, 1e-9 * total, max_hi=64.0 * span)

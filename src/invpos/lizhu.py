@@ -134,7 +134,7 @@ def _half_mass_ball_on_ray(m: Measure, e: np.ndarray, u: float) -> HemiBallResul
         return m.mass_in_ball(Ball(center=(u - rho) * e, radius=rho)) - 0.5 * total
 
     hi = max(u, 1.0)
-    rho = bisect_increasing(excess, 1e-12, hi, total, max_hi=hi * 2.0**60)
+    rho = bisect_increasing(excess, 1e-12, hi, 1e-9 * total, max_hi=hi * 2.0**60)
     return HemiBallResult(center=(u - rho) * e, radius=rho, mass_imbalance=excess(rho))
 
 
@@ -162,40 +162,27 @@ def solve_mapping_ball(m: Measure, e, s: float, t: float) -> HemiBallResult:
     """Hemi-ball B with center on the e-axis and Theta_B(s e) = t e.
 
     Root of f(u) = |t e - a_u| |s e - a_u| - rho_u^2 over u in (s, t], found
-    by bisection on a sign change of the sampled table.
+    by bisection on -f.  At u = s the hemi-ball is B(s - rho, rho), so
+    f(s) = rho (t - s) > 0; f(t) <= 0 exactly when s lies in the hemi-ball
+    through t, which holds for a measure that balances the plane.  When the
+    end values do not bracket a root, BracketingError names them.
     """
     e = np.atleast_1d(np.asarray(e, dtype=float))
     e = e / np.linalg.norm(e)
     if not (0 <= s < t):
         raise ValueError("need 0 <= s < t")
 
-    def fval(u: float) -> float:
+    def neg_f(u: float) -> float:
         res = _half_mass_ball_on_ray(m, e, u)
-        a = (u - res.radius)
-        return abs(t - a) * abs(s - a) - res.radius**2
+        a = u - res.radius
+        return res.radius**2 - abs(t - a) * abs(s - a)
 
     u_lo = s if s > 0 else 1e-3 * t
-    us = np.linspace(u_lo, t, 33)
-    vals = [fval(u) for u in us]
-    bracket = None
-    for (u1, v1), (u2, v2) in zip(zip(us[:-1], vals[:-1]), zip(us[1:], vals[1:])):
-        if v1 > 0 >= v2 or v1 >= 0 > v2:
-            bracket = (u1, u2)
-            break
-    if bracket is None:
-        table = "\n".join(f"  u={u:.6g}  f(u)={v:.6g}" for u, v in zip(us, vals))
-        raise BracketingError(f"no sign change of f(u) found on [{u_lo:.6g}, {t:.6g}]:\n{table}")
-    lo, hi = bracket
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        v = fval(mid)
-        if abs(v) < 1e-12 * max(1.0, t * t) or hi - lo < 1e-13 * max(1.0, t):
-            break
-        if v > 0:
-            lo = mid
-        else:
-            hi = mid
-    return _half_mass_ball_on_ray(m, e, 0.5 * (lo + hi))
+    f_lo, f_hi = -neg_f(u_lo), -neg_f(t)
+    if not f_lo > 0 >= f_hi:
+        raise BracketingError(f"f(u) does not change sign on [{u_lo:.6g}, {t:.6g}]: f = {f_lo:.6g} and {f_hi:.6g}")
+    u = bisect_increasing(neg_f, u_lo, t, 1e-12 * max(1.0, t * t))
+    return _half_mass_ball_on_ray(m, e, u)
 
 
 def check_pointwise_invariance(v: Field, b: Ball) -> float:

@@ -119,25 +119,37 @@ def _standardize_1d(g: Field, region: HalfSpace) -> Field:
 # --- the kernel of the quadratic form J and the representation formula ---
 
 
-def _cosh_integral(xi: float, t: float, a: float) -> float:
-    """int_xi^inf e^(-tau t) (tau^2 - xi^2)^((a-1)/2) dtau via tau = xi cosh u.
+# Gauss-Legendre nodes per panel; the panels of the branch-cut rule shrink
+# by _GRADING towards its endpoint.
+_PANEL_NODES = 16
+_GRADING = 0.7
 
-    ``a`` = 1 - N + lambda in (-1, 1]; the substitution turns the endpoint
-    singularity into sinh(u)^a, handled with geometrically graded
-    Gauss-Legendre panels.
+
+def _gauss_panels(edges: np.ndarray, n: int = _PANEL_NODES):
+    """Gauss-Legendre nodes and weights on the panels between consecutive edges.
+
+    The panels run along the last axis of ``edges`` and the leading axes are
+    kept, so a stack of panel sets (one per rho, say) gives a stack of rules.
     """
-    arg = 1.0 + 45.0 / (t * xi)
-    umax = float(np.arccosh(arg))
-    edges = umax * 0.7 ** np.arange(40)
-    edges = np.append(edges, 0.0)[::-1]
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        u = mid + half * nodes
-        vals = np.exp(-t * xi * np.cosh(u)) * np.sinh(u) ** a
-        total += half * float(weights @ vals)
-    return xi**a * total
+    x, w = np.polynomial.legendre.leggauss(n)
+    lo, hi = edges[..., :-1, None], edges[..., 1:, None]
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    shape = edges.shape[:-1] + (-1,)
+    return (mid + half * x).reshape(shape), (half * w).reshape(shape)
+
+
+def _branch_cut_rule(xi, umax, a: float, panels: int, n: int = _PANEL_NODES):
+    """Nodes tau and weights for int_xi^inf q(tau) (tau^2 - xi^2)^((a-1)/2) dtau.
+
+    ``a`` = 1 - N + lambda in (-1, 1].  tau = xi cosh u turns the weight into
+    xi^a sinh(u)^a du on [0, umax], cut into panels graded geometrically
+    towards the endpoint singularity.  Array xi and umax give one rule per
+    entry along a new last axis.
+    """
+    xi = np.asarray(xi, dtype=float)[..., None]
+    grading = np.append(_GRADING ** np.arange(panels), 0.0)[::-1]
+    u, w = _gauss_panels(np.asarray(umax, dtype=float)[..., None] * grading, n)
+    return xi * np.cosh(u), w * xi**a * np.sinh(u) ** a
 
 
 def kernel_k(kp: KernelParams, xi_perp: float, t: float) -> float:
@@ -160,7 +172,8 @@ def kernel_k(kp: KernelParams, xi_perp: float, t: float) -> float:
     if xi_perp == 0.0:
         # Limit: int_0^inf e^(-tau t) tau^(a-1) dtau = Gamma(a) t^(-a).
         return float(pref * gamma(a) * t ** (-a))
-    return float(pref * _cosh_integral(xi_perp, t, a))
+    taus, ws = _branch_cut_rule(xi_perp, np.arccosh(1.0 + 45.0 / (t * xi_perp)), a, 40)
+    return float(pref * (ws @ np.exp(-t * taus)))
 
 
 def _cell_laplace(left: np.ndarray, values: np.ndarray, h: float, taus: np.ndarray) -> np.ndarray:
@@ -189,21 +202,9 @@ def _tau_quadrature(lam: float):
     [1, 1e4] log-spaced Gauss-Legendre panels are used with the power
     folded into the weights.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    u_edges = np.linspace(0.0, 1.0, 24 + 1)
-    taus, ws = [], []
-    for lo, hi in zip(u_edges[:-1], u_edges[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        u = mid + half * nodes
-        taus.append(u ** (1.0 / lam))
-        ws.append(half * weights / lam)
-    log_edges = np.geomspace(1.0, 1e4, 30 + 1)
-    for lo, hi in zip(log_edges[:-1], log_edges[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        t = mid + half * nodes
-        taus.append(t)
-        ws.append(half * weights * t ** (lam - 1.0))
-    return np.concatenate(taus), np.concatenate(ws)
+    u, w = _gauss_panels(np.linspace(0.0, 1.0, 24 + 1))
+    t, v = _gauss_panels(np.geomspace(1.0, 1e4, 30 + 1))
+    return np.concatenate([u ** (1.0 / lam), t]), np.concatenate([w / lam, v * t ** (lam - 1.0)])
 
 
 def _c_repr(kp: KernelParams) -> float:
@@ -297,17 +298,9 @@ def halfspace_representation(f: Field, kp: KernelParams) -> float:
         return (2.0 * np.pi) ** (-(f.dim - 1) / 2.0) * cell * (phase @ u)
 
     rho_max = np.pi / h
-    rho_nodes, rho_w = np.polynomial.legendre.leggauss(12)
     # The rho integrand behaves like rho^(lambda - N + 1) near 0 (a genuine
     # boundary layer when lambda < N - 1), so panels are log-spaced.
-    edges = np.geomspace(1e-8, rho_max, 40 + 1)
-    rhos, rws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        rhos.append(mid + half * rho_nodes)
-        rws.append(half * rho_w)
-    rhos = np.concatenate(rhos)
-    rws = np.concatenate(rws)
+    rhos, rws = _gauss_panels(np.geomspace(1e-8, rho_max, 40 + 1), 12)
     uh = u_hat(rhos)
     omega = 2.0 if kp.dim == 2 else 2.0 * np.pi
 
@@ -317,15 +310,8 @@ def halfspace_representation(f: Field, kp: KernelParams) -> float:
         return float(pref * (np.pi / 2.0) * omega * (rws @ integrand))
 
     a = 1.0 - kp.dim + kp.lam
-    nodes_u, weights_u = np.polynomial.legendre.leggauss(12)
-    # Inner integral over tau = rho cosh(u) on panels graded geometrically
-    # towards the sinh(u)^a endpoint singularity; axes (rho, panel, node).
-    umax = np.arccosh(np.maximum(2.0, tau_cap / rhos))
-    seg = umax[:, None] * np.append(0.7 ** np.arange(30), 0.0)[::-1]
-    mid, half = 0.5 * (seg[:, 1:] + seg[:, :-1]), 0.5 * (seg[:, 1:] - seg[:, :-1])
-    uu = mid[..., None] + half[..., None] * nodes_u
-    vals = np.sinh(uu) ** a * lap(rhos[:, None, None] * np.cosh(uu)) ** 2
-    inner = rhos**a * np.sum(half * (vals @ weights_u), axis=1)
+    taus, ws = _branch_cut_rule(rhos, np.arccosh(np.maximum(2.0, tau_cap / rhos)), a, 30, 12)
+    inner = np.sum(ws * lap(taus) ** 2, axis=-1)
     integrand = rhos ** (kp.dim - 2) * uh**2 * inner
     return float(_c_repr(kp) * (np.pi / 2.0) * omega * (rws @ integrand))
 

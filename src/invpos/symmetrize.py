@@ -55,7 +55,7 @@ def hemispace_offset(f: Field, kp: KernelParams, e) -> float:
         return 0.5 * total - density_mass(dens, HalfSpace(e, t))
 
     proj = f.grid.points() @ e
-    return bisect_increasing(excess, float(proj.min()) - f.grid.spacing, float(proj.max()) + f.grid.spacing, total)
+    return bisect_increasing(excess, float(proj.min()) - f.grid.spacing, float(proj.max()) + f.grid.spacing, 1e-9 * total)
 
 
 @dataclass(frozen=True)
