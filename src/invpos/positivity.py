@@ -119,37 +119,40 @@ def _standardize_1d(g: Field, region: HalfSpace) -> Field:
 # --- the kernel of the quadratic form J and the representation formula ---
 
 
-# Gauss-Legendre nodes per panel; the panels of the branch-cut rule shrink
-# by _GRADING towards its endpoint.
+# Gauss-Legendre nodes per panel; the _GRADED_PANELS panels of the
+# branch-cut rule shrink by _GRADING towards its endpoint.
 _PANEL_NODES = 16
+_GRADED_PANELS = 40
 _GRADING = 0.7
 
 
-def _gauss_panels(edges: np.ndarray, n: int = _PANEL_NODES):
-    """Gauss-Legendre nodes and weights on the panels between consecutive edges.
+def _gauss_panels(edges: np.ndarray, power: float = 1.0):
+    """Nodes x and weights for int x^(power - 1) q(x) dx with q smooth.
 
-    The panels run along the last axis of ``edges`` and the leading axes are
-    kept, so a stack of panel sets (one per rho, say) gives a stack of rules.
+    The substitution x = w^(1/power) absorbs the power: Gauss-Legendre
+    panels lie in w between consecutive ``edges``.  The panels run along the
+    last axis of ``edges`` and the leading axes are kept, so a stack of panel
+    sets (one per rho, say) gives a stack of rules.
     """
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = np.polynomial.legendre.leggauss(_PANEL_NODES)
     lo, hi = edges[..., :-1, None], edges[..., 1:, None]
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     shape = edges.shape[:-1] + (-1,)
-    return (mid + half * x).reshape(shape), (half * w).reshape(shape)
+    return (mid + half * x).reshape(shape) ** (1.0 / power), (half * w).reshape(shape) / power
 
 
-def _branch_cut_rule(xi, umax, a: float, panels: int, n: int = _PANEL_NODES):
+def _branch_cut_rule(xi, umax, a: float):
     """Nodes tau and weights for int_xi^inf q(tau) (tau^2 - xi^2)^((a-1)/2) dtau.
 
-    ``a`` = 1 - N + lambda in (-1, 1].  tau = xi cosh u turns the weight into
+    ``a`` = 1 - N + lambda in (-1, 1).  tau = xi cosh u turns the weight into
     xi^a sinh(u)^a du on [0, umax], cut into panels graded geometrically
-    towards the endpoint singularity.  Array xi and umax give one rule per
-    entry along a new last axis.
+    towards the endpoint, where the power u^a is absorbed.  Array xi and
+    umax give one rule per entry along a new last axis.
     """
     xi = np.asarray(xi, dtype=float)[..., None]
-    grading = np.append(_GRADING ** np.arange(panels), 0.0)[::-1]
-    u, w = _gauss_panels(np.asarray(umax, dtype=float)[..., None] * grading, n)
-    return xi * np.cosh(u), w * xi**a * np.sinh(u) ** a
+    grading = np.append(_GRADING ** np.arange(_GRADED_PANELS), 0.0)[::-1]
+    u, w = _gauss_panels((np.asarray(umax, dtype=float)[..., None] * grading) ** (1.0 + a), 1.0 + a)
+    return xi * np.cosh(u), w * xi**a * (np.sinh(u) / u) ** a
 
 
 def kernel_k(kp: KernelParams, xi_perp: float, t: float) -> float:
@@ -172,7 +175,7 @@ def kernel_k(kp: KernelParams, xi_perp: float, t: float) -> float:
     if xi_perp == 0.0:
         # Limit: int_0^inf e^(-tau t) tau^(a-1) dtau = Gamma(a) t^(-a).
         return float(pref * gamma(a) * t ** (-a))
-    taus, ws = _branch_cut_rule(xi_perp, np.arccosh(1.0 + 45.0 / (t * xi_perp)), a, 40)
+    taus, ws = _branch_cut_rule(xi_perp, np.arccosh(1.0 + 45.0 / (t * xi_perp)), a)
     return float(pref * (ws @ np.exp(-t * taus)))
 
 
@@ -202,9 +205,9 @@ def _tau_quadrature(lam: float):
     [1, 1e4] log-spaced Gauss-Legendre panels are used with the power
     folded into the weights.
     """
-    u, w = _gauss_panels(np.linspace(0.0, 1.0, 24 + 1))
+    u, w = _gauss_panels(np.linspace(0.0, 1.0, 24 + 1), lam)
     t, v = _gauss_panels(np.geomspace(1.0, 1e4, 30 + 1))
-    return np.concatenate([u ** (1.0 / lam), t]), np.concatenate([w / lam, v * t ** (lam - 1.0)])
+    return np.concatenate([u, t]), np.concatenate([w, v * t ** (lam - 1.0)])
 
 
 def _c_repr(kp: KernelParams) -> float:
@@ -298,9 +301,12 @@ def halfspace_representation(f: Field, kp: KernelParams) -> float:
         return (2.0 * np.pi) ** (-(f.dim - 1) / 2.0) * cell * (phase @ u)
 
     rho_max = np.pi / h
-    # The rho integrand behaves like rho^(lambda - N + 1) near 0 (a genuine
-    # boundary layer when lambda < N - 1), so panels are log-spaced.
-    rhos, rws = _gauss_panels(np.geomspace(1e-8, rho_max, 40 + 1), 12)
+    # The rho integrand behaves like rho^(p - 1), p = min(lambda, N - 1),
+    # near 0, so panels are log-spaced down to 1e-8 and the last panel, which
+    # reaches 0, absorbs the power.
+    p = min(kp.lam, kp.dim - 1.0)
+    rhos, rws = _gauss_panels(np.append(0.0, np.geomspace(1e-8, rho_max, 40 + 1)) ** p, p)
+    rws = rws * rhos ** (1.0 - p)
     uh = u_hat(rhos)
     omega = 2.0 if kp.dim == 2 else 2.0 * np.pi
 
@@ -310,7 +316,7 @@ def halfspace_representation(f: Field, kp: KernelParams) -> float:
         return float(pref * (np.pi / 2.0) * omega * (rws @ integrand))
 
     a = 1.0 - kp.dim + kp.lam
-    taus, ws = _branch_cut_rule(rhos, np.arccosh(np.maximum(2.0, tau_cap / rhos)), a, 30, 12)
+    taus, ws = _branch_cut_rule(rhos, np.arccosh(np.maximum(2.0, tau_cap / rhos)), a)
     inner = np.sum(ws * lap(taus) ** 2, axis=-1)
     integrand = rhos ** (kp.dim - 2) * uh**2 * inner
     return float(_c_repr(kp) * (np.pi / 2.0) * omega * (rws @ integrand))

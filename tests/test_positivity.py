@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import gamma, kv
 
 from invpos.energy import energy_direct, gaussian_field
 from invpos.fields import Field, KernelParams, box_grid
@@ -120,6 +121,22 @@ def test_kernel_k_positive_above_threshold():
             assert kernel_k(kp, xi, t) > 0.0
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_kernel_k_matches_bessel_closed_form(dim):
+    # int_xi^inf e^(-t tau) (tau^2 - xi^2)^((a-1)/2) dtau
+    # = Gamma((a+1)/2) / sqrt(pi) (2 xi / t)^(a/2) K_(a/2)(t xi)  (DLMF 10.32),
+    # with a = 1 - N + lambda; a near -1 is the endpoint-singular end.
+    grid = (0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 20.0)
+    for a in np.arange(-0.95, 0.99, 0.05):
+        lam = dim - 1 + a
+        kp = KernelParams(dim=dim, lam=lam)
+        pref = 2.0 * np.sin(0.5 * np.pi * (dim - lam)) * gamma(0.5 * (a + 1.0)) / np.sqrt(np.pi)
+        for xi in grid:
+            for t in grid:
+                expect = pref * (2.0 * xi / t) ** (0.5 * a) * kv(0.5 * a, t * xi)
+                assert abs(kernel_k(kp, xi, t) - expect) <= 1e-5 * expect, (lam, xi, t)
+
+
 def test_representation_closed_form_indicator():
     # f = chi_[0,1], lambda = 1/2: I[Theta_H f, f] = (2 sqrt(2) - 2)/0.75.
     kp = KernelParams(dim=1, lam=0.5)
@@ -197,6 +214,18 @@ def test_representation_matches_direct_2d_radial():
     assert abs(value - direct.value) <= 3.0 * direct.est_error + 5e-3 * abs(value)
 
 
+def test_representation_matches_direct_2d_radial_small_lambda():
+    # lambda = 0.3: the rho integrand grows like rho^(-0.7) at 0 and the
+    # inner integrand like sinh(u)^(-0.7).
+    kp = KernelParams(dim=2, lam=0.3)
+    g = box_grid([-6.0, 0.0], [6.0, 12.0], 64)
+    x, y = g.axis_centers(0), g.axis_centers(1)
+    f = Field(g, np.exp(-(x[:, None] ** 2) / 2.0) * np.exp(-((y[None, :] - 2.0) ** 2) / 2.0))
+    value = halfspace_representation(f, kp)
+    direct = reflected_energy(f, f, kp)
+    assert abs(value - direct.value) <= 3.0 * direct.est_error + 5e-3 * abs(value)
+
+
 def test_representation_gap_2d_radial_shrinks_with_the_grid():
     # The oracle's rho quadrature carries an O(h^2) bias: its gap to the
     # direct sum falls by about 3.5 per halving of h (0.033, 0.0090, 0.0026
@@ -212,10 +241,11 @@ def test_representation_gap_2d_radial_shrinks_with_the_grid():
     assert gaps[1] >= 3.0 * gaps[2]
 
 
-@pytest.mark.parametrize("lam", [1.0, 1.5])
+@pytest.mark.parametrize("lam", [1.0, 1.5, 1.05, 1.2])
 def test_representation_matches_direct_3d_separable(lam):
-    # lambda = 1 = N - 2 takes the residue branch, lambda = 1.5 the
-    # branch-cut integral.
+    # lambda = 1 = N - 2 takes the residue branch, the others the branch-cut
+    # integral, whose endpoint power sinh(u)^(lambda - 2) is nearly
+    # non-integrable at lambda = 1.05.
     kp = KernelParams(dim=3, lam=lam)
     g = box_grid([-6.0, -6.0, 0.0], [6.0, 6.0, 12.0], 32)
     pts = g.points().reshape(32, 32, 32, 3)
