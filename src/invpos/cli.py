@@ -251,18 +251,14 @@ def _build_field(cfg: RunConfig, kp, grid):
 def _build_region(cfg: RunConfig):
     import numpy as np
 
-    from .geometry import Ball, HalfSpace
+    from .geometry import Ball, HalfSpace, unit_vector
 
     if cfg.region is None:
         raise ConfigError(f"command {cfg.command} requires a region")
     kind, params = next(iter(cfg.region.items()))
     if kind == "ball":
         return Ball(center=np.asarray(params.get("center", [0.0] * cfg.dim), dtype=float), radius=float(params["radius"]))
-    normal = np.asarray(params.get("normal", [0.0] * (cfg.dim - 1) + [1.0]), dtype=float)
-    # Scaled to its largest entry first, so that a huge normal cannot
-    # overflow the norm.
-    normal = normal / np.max(np.abs(normal))
-    normal = normal / np.linalg.norm(normal)
+    normal = unit_vector(params.get("normal", [0.0] * (cfg.dim - 1) + [1.0]))
     return HalfSpace(normal=normal, offset=float(params.get("offset", 0.0)))
 
 

@@ -10,6 +10,7 @@ searches of ``symmetrize`` and ``lizhu`` weigh their densities with
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -69,13 +70,17 @@ def ball_coverage(grid: Grid, center, radius: float) -> np.ndarray:
     ball's center can be inside or on the shell; the rest stay 0, so the work
     is the ball's bounding box, not the grid.  Distances are per-axis squares
     summed in axis order, the same floats as the norm of the full point array.
-    A scalar or one-element center is spread over every axis.
+    Lengths are compared in units of 2^exp2, the power of two just above the
+    reach, so that no square overflows or underflows for a huge or tiny ball;
+    the rescaling is exact, so the fractions are the same floats.  A scalar or
+    one-element center is spread over every axis.
     """
     h = grid.spacing
     center = np.broadcast_to(np.atleast_1d(np.asarray(center, dtype=float)), (grid.dim,))
     radius = float(radius)
     half_diag = float(0.5 * h * np.sqrt(grid.dim) + 0.5 * h / SUBSAMPLE)
     reach = radius + half_diag
+    down = math.ldexp(1.0, -min(math.frexp(reach)[1], 1023))
     cov = np.zeros(grid.shape)
     box, xs, deltas = [], [], []
     for k in range(grid.dim):
@@ -88,9 +93,10 @@ def ball_coverage(grid: Grid, center, radius: float) -> np.ndarray:
             return cov
         box.append(slice(i0, i1))
         xs.append(x[i0:i1])
-        deltas.append(delta[i0:i1])
+        deltas.append(delta[i0:i1] * down)
     d = np.sqrt(sum(dk.reshape((-1,) + (1,) * (grid.dim - 1 - k)) ** 2 for k, dk in enumerate(deltas)))
     inbox = cov[tuple(box)]
+    radius, half_diag, sub_h = radius * down, half_diag * down, h / SUBSAMPLE * down
     inbox[d <= radius - half_diag] = 1.0
     shell = np.abs(d - radius) < half_diag
     if shell.any():
@@ -100,10 +106,10 @@ def ball_coverage(grid: Grid, center, radius: float) -> np.ndarray:
         steps = (np.arange(SUBSAMPLE) - (SUBSAMPLE - 1) / 2.0) * (h / SUBSAMPLE)
         terms = []
         for k, (x, i) in enumerate(zip(xs, np.nonzero(shell))):
-            tab = (x[:, None] + steps - center[k]) ** 2
+            tab = ((x[:, None] + steps - center[k]) * down) ** 2
             terms.append(tab[i].reshape((-1,) + (1,) * k + (SUBSAMPLE,) + (1,) * (grid.dim - 1 - k)))
         dsub = np.sqrt(sum(terms)).reshape(len(terms[0]), -1)
-        ramp = np.clip((radius - dsub) / (h / SUBSAMPLE) + 0.5, 0.0, 1.0)
+        ramp = np.clip((radius - dsub) / sub_h + 0.5, 0.0, 1.0)
         inbox[shell] = ramp.mean(axis=1)
     return cov
 

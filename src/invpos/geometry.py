@@ -6,7 +6,8 @@ involutions and act on single points or on stacked arrays of shape (..., N).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +26,21 @@ def _as_points(x) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("points must have finite coordinates")
     return x
+
+
+def unit_vector(v) -> np.ndarray:
+    """v / |v| for a non-zero finite vector, with no overflow or underflow.
+
+    v is first scaled by the power of two that brings its largest entry into
+    [1/2, 1); the scaling is exact, so the result is the same float as
+    v / |v| wherever that norm neither overflows nor underflows.
+    """
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    top = float(np.max(np.abs(v)))
+    if not (top > 0 and np.isfinite(top)):
+        raise ValueError("cannot normalize a zero or non-finite vector")
+    v = np.ldexp(v, -math.frexp(top)[1])
+    return v / np.linalg.norm(v)
 
 
 @dataclass(frozen=True)

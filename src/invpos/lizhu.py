@@ -16,7 +16,7 @@ import numpy as np
 
 from .coverage import BracketingError, bisect_increasing, density_mass, half_mass_radius, sub_offsets
 from .fields import Ball, ExtremizerSpec, Field, HalfSpace, eval_field, fit_family
-from .geometry import invert_point, reflect_point
+from .geometry import invert_point, reflect_point, unit_vector
 
 
 @dataclass(frozen=True)
@@ -144,8 +144,7 @@ def hemiball_on_ray(m: Measure, e, u: float) -> HemiBallResult:
     Requires the measure to balance the plane {x . e = 0} (the symmetrized
     setting in which the center stays on the axis).
     """
-    e = np.atleast_1d(np.asarray(e, dtype=float))
-    e = e / np.linalg.norm(e)
+    e = unit_vector(e)
     if u <= 0:
         raise ValueError("u must be positive")
     total = m.total_mass
@@ -167,8 +166,7 @@ def solve_mapping_ball(m: Measure, e, s: float, t: float) -> HemiBallResult:
     through t, which holds for a measure that balances the plane.  When the
     end values do not bracket a root, BracketingError names them.
     """
-    e = np.atleast_1d(np.asarray(e, dtype=float))
-    e = e / np.linalg.norm(e)
+    e = unit_vector(e)
     if not (0 <= s < t):
         raise ValueError("need 0 <= s < t")
 
@@ -316,10 +314,8 @@ def check_radial_decreasing(m: Measure, seed: int = 0) -> RadialDecreasingReport
     for _ in range(_RADIAL_SAMPLES):
         dist = rng.uniform(0.3, 2.0)
         r = rng.uniform(0.1, 0.5) * dist
-        e1 = rng.normal(size=dim)
-        e1 /= np.linalg.norm(e1)
-        e2 = rng.normal(size=dim)
-        e2 /= np.linalg.norm(e2)
+        e1 = unit_vector(rng.normal(size=dim))
+        e2 = unit_vector(rng.normal(size=dim))
         m1 = m.mass_in_ball(Ball(center=dist * e1, radius=r))
         m2 = m.mass_in_ball(Ball(center=dist * e2, radius=r))
         rad_viol = max(rad_viol, abs(m1 - m2) / total)

@@ -16,6 +16,7 @@ import numpy as np
 from .coverage import BracketingError, bisect_increasing, density_mass, half_mass_radius
 from .energy import energy_direct
 from .fields import Ball, ExtremizerSpec, Field, HalfSpace, KernelParams, fit_family, lp_norm, split_in_out
+from .geometry import unit_vector
 
 
 def _lp_density(f: Field, kp: KernelParams) -> tuple:
@@ -46,8 +47,7 @@ def hemiball_radius(f: Field, kp: KernelParams, a) -> float:
 
 def hemispace_offset(f: Field, kp: KernelParams, e) -> float:
     """Offset t with int_{x.e > t} |f|^p = half the total |f|^p mass."""
-    e = np.atleast_1d(np.asarray(e, dtype=float))
-    e = e / np.linalg.norm(e)
+    e = unit_vector(e)
     dens, total = _lp_density(f, kp)
 
     def excess(t: float) -> float:
@@ -179,8 +179,7 @@ def run_symmetrization(f0: Field, kp: KernelParams, config: Optional[Symmetrizat
         else:
             for _ in range(_STEPS_PER_RANDOM_SWEEP):
                 if rng.random() < 0.5:
-                    e = rng.normal(size=dim)
-                    regions.append(("space", e / np.linalg.norm(e)))
+                    regions.append(("space", unit_vector(rng.normal(size=dim))))
                 else:
                     c = _centroid(f, kp) + rng.normal(scale=2 * h, size=dim)
                     regions.append(("ball", c))

@@ -87,6 +87,26 @@ def test_ball_coverage_far_out_balls_raise_nothing(dim):
         assert np.all(ball_coverage(g, mid, 1e300) == 1.0)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("exp2", [900, -900])
+def test_ball_coverage_is_invariant_under_a_power_of_two_scale(dim, exp2):
+    # Squared distances of a ball scaled by 2^900 overflow and by 2^-900
+    # underflow; grid, centre and radius scaled together must give the same
+    # fractions, bit for bit and without a warning.
+    g = _GRIDS[dim]
+    scale = 2.0**exp2
+    big = box_grid(g.lo * scale, g.hi * scale, g.shape[0])
+    rng = np.random.default_rng(dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(20):
+            c = g.lo + (g.hi - g.lo) * rng.uniform(0.0, 1.0, dim)
+            r = rng.uniform(0.1, 0.6) * float(np.max(g.hi - g.lo))
+            expect = ball_coverage(g, c, r)
+            assert expect.any()
+            assert np.array_equal(ball_coverage(big, c * scale, r * scale), expect)
+
+
 def test_newton_zero_overlap_unchanged_by_the_bounding_box():
     kp = KernelParams(dim=3, lam=1.0)
     boxed = positivity.newton_zero_overlap(kp)

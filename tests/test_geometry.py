@@ -10,6 +10,7 @@ from invpos.geometry import (
     cayley_singular_point,
     invert_point,
     reflect_point,
+    unit_vector,
 )
 
 
@@ -88,3 +89,17 @@ def test_region_contains():
 def test_ball_validation():
     with pytest.raises(ValueError):
         Ball(center=np.zeros(2), radius=-1.0)
+
+
+def test_unit_vector_is_v_over_its_norm_at_every_scale():
+    rng = np.random.default_rng(0)
+    for dim in (1, 2, 3):
+        for _ in range(500):
+            v = rng.normal(size=dim) * 10.0 ** rng.uniform(-100, 100)
+            assert np.array_equal(unit_vector(v), v / np.linalg.norm(v))
+    # Where the plain norm overflows or underflows the result is unchanged.
+    for big in (2.0**1000, 2.0**-1000, 2.0**-1074, 2.0**1023):
+        assert np.array_equal(unit_vector([big, -big]), unit_vector([1.0, -1.0]))
+    for bad in ([0.0, 0.0], [np.inf, 1.0], [np.nan, 1.0]):
+        with pytest.raises(ValueError):
+            unit_vector(bad)

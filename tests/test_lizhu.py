@@ -112,6 +112,27 @@ def test_solve_mapping_ball_unit_sphere_oracle():
     assert abs(image[0, 0] - 2.0) < 2e-2
 
 
+@pytest.mark.parametrize("s, t", [(0.0, 0.3), (0.0, 3.0), (0.01, 0.02), (0.5, 2.0), (2.9, 3.0)])
+def test_solve_mapping_ball_closed_form_1d(s, t):
+    # For (1 + x^2)^(-1) the interval of center a and radius sqrt(1 + a^2)
+    # holds half the mass, and it maps s to t when a = (st - 1) / (s + t).
+    m = Measure(density=_standard_density_1d())
+    res = solve_mapping_ball(m, np.array([1.0]), s=s, t=t)
+    a = (s * t - 1.0) / (s + t)
+    assert abs(res.center[0] - a) < 5e-3
+    assert abs(res.radius - np.sqrt(1.0 + a * a)) < 5e-3
+
+
+def test_solve_mapping_ball_raises_for_a_bump_between_s_and_t():
+    # No ball through s holds half of a bump that lies right of s, and the
+    # hemi-ball through t misses s: no mapping ball exists.
+    g = box_grid([-10.0], [10.0], 1024)
+    x = g.axis_centers(0)
+    bump = Field(g, np.exp(-((x - 1.5) ** 2) / 0.18))
+    with pytest.raises(BracketingError):
+        solve_mapping_ball(Measure(density=bump), np.array([1.0]), s=0.5, t=3.0)
+
+
 def test_pointwise_invariance_matched_vs_witness():
     v = _standard_density_1d()
     matched = check_pointwise_invariance(v, Ball(center=np.array([0.0]), radius=1.0))

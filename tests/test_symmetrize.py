@@ -136,3 +136,14 @@ def test_run_symmetrization_random_schedule_is_seeded():
     assert len(t1.steps) == len(t2.steps)
     for a, b in zip(t1.steps, t2.steps):
         assert a.quotient_after == b.quotient_after
+
+
+def test_hemispace_offset_for_huge_and_tiny_normals():
+    # [1e300, 1e300] overflows and [1e-300, 1e-300] underflows a plain
+    # norm; both name the same direction as [1, 1].
+    kp = KernelParams(dim=2, lam=1.0)
+    g = box_grid([-4.0, -4.0], [4.0, 4.0], 32)
+    f = make_extremizer(extremizer_spec(kp, center=np.array([0.3, -0.5])), kp, g)
+    expect = hemispace_offset(f, kp, np.array([1.0, 1.0]))
+    for scale in (1e300, 1e-300):
+        assert hemispace_offset(f, kp, np.array([scale, scale])) == expect
