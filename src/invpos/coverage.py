@@ -70,9 +70,9 @@ def ball_coverage(grid: Grid, center, radius: float) -> np.ndarray:
     ball's center can be inside or on the shell; the rest stay 0, so the work
     is the ball's bounding box, not the grid.  Distances are per-axis squares
     summed in axis order, the same floats as the norm of the full point array.
-    Lengths are compared in units of 2^exp2, the power of two just above the
-    reach, so that no square overflows or underflows for a huge or tiny ball;
-    the rescaling is exact, so the fractions are the same floats.  A scalar or
+    Lengths are compared in units of the power of two just above the reach,
+    so that no square overflows or underflows for a huge or tiny ball; the
+    rescaling is exact, so the fractions are the same floats.  A scalar or
     one-element center is spread over every axis.
     """
     h = grid.spacing
@@ -80,7 +80,7 @@ def ball_coverage(grid: Grid, center, radius: float) -> np.ndarray:
     radius = float(radius)
     half_diag = float(0.5 * h * np.sqrt(grid.dim) + 0.5 * h / SUBSAMPLE)
     reach = radius + half_diag
-    down = math.ldexp(1.0, -min(math.frexp(reach)[1], 1023))
+    down = math.ldexp(1.0, -math.frexp(reach)[1])
     cov = np.zeros(grid.shape)
     box, xs, deltas = [], [], []
     for k in range(grid.dim):
