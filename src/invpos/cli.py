@@ -339,7 +339,10 @@ def _cmd_transform(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
     grid = _build_grid(cfg)
     f = _build_field(cfg, kp, grid)
     region = _build_region(cfg)
-    theta_f = apply_region_map(region, f, kp)
+    try:
+        theta_f = apply_region_map(region, f, kp)
+    except ValueError as exc:  # an inversion undefined on the config grid
+        raise ConfigError(f"region: {exc}") from exc
     e_f = energy_direct(f, f, kp)
     e_t = energy_direct(theta_f, theta_f, kp)
     rep.add("energy", e_f.value)
@@ -360,7 +363,10 @@ def _cmd_positivity(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
     grid = _build_grid(cfg)
     f = _build_field(cfg, kp, grid)
     region = _build_region(cfg)
-    result = positivity_defect(region, f, kp)
+    try:
+        result = positivity_defect(region, f, kp)
+    except ValueError as exc:  # an inversion undefined on the config grid
+        raise ConfigError(f"region: {exc}") from exc
     rep.add("defect", result.defect)
     rep.add("defect_via_g", result.defect_via_g)
     rep.add("est_error", result.est_error)
@@ -403,6 +409,8 @@ def _cmd_symmetrize(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
 
     grid = _build_grid(cfg)
     f0 = _build_field(cfg, kp, grid)
+    if (f0.values < 0).any():
+        raise ConfigError("symmetrize needs a non-negative function")
     sym_cfg = SymmetrizationConfig(seed=cfg.seed)
     trace = run_symmetrization(f0, kp, sym_cfg)
     rep.add("n_steps", len(trace.steps))

@@ -300,13 +300,8 @@ def el_residual(f: Field, kp: KernelParams) -> float:
         raise ValueError("el_residual requires f >= 0, f not identically 0")
     pot = riesz_potential(f, kp)
     fp = f.values ** (kp.p - 1.0)
-    interior = np.ones(f.grid.shape, dtype=bool)
-    for axis, n in enumerate(f.grid.shape):
-        keep = np.zeros(n, dtype=bool)
-        keep[n // 4 : (3 * n) // 4] = True
-        shape = [1] * f.dim
-        shape[axis] = n
-        interior &= keep.reshape(shape)
+    interior = np.zeros(f.grid.shape, dtype=bool)
+    interior[tuple(slice(n // 4, 3 * n // 4) for n in f.grid.shape)] = True
     good = interior & (fp >= 1e-12 * fp.max())
     ratios = pot[good] / fp[good]
     return float(np.std(ratios) / np.mean(ratios))

@@ -91,10 +91,12 @@ class HalfSpace:
 def invert_point(b: Ball, x) -> np.ndarray:
     """Inversion through the sphere bounding ``b``.
 
-    x |-> center + r^2 (x - center) / |x - center|^2.  Undefined at the
-    center; points closer than CENTER_CUTOFF * r raise a ValueError.
+    x |-> center + r^2 (x - center) / |x - center|^2.  Points within
+    CENTER_CUTOFF * r of the center and an r^2 that overflows raise ValueError.
     """
     x = _as_points(x)
+    if not math.isfinite(float(b.radius) * float(b.radius)):
+        raise ValueError(f"inversion radius {b.radius:.6g} squared overflows")
     d = x - b.center
     dist2 = np.sum(d * d, axis=-1)
     if np.any(dist2 < (CENTER_CUTOFF * b.radius) ** 2):

@@ -138,6 +138,11 @@ def _half_mass_ball_on_ray(m: Measure, e: np.ndarray, u: float) -> HemiBallResul
     return HemiBallResult(center=(u - rho) * e, radius=rho, mass_imbalance=excess(rho))
 
 
+def _share_above_plane(m: Measure, e: np.ndarray) -> float:
+    """Share of the mass in {x . e > 0}; m balances the plane when it is within 1.01e-4 of 1/2."""
+    return m.mass_in_halfspace(HalfSpace(normal=e, offset=0.0)) / m.total_mass
+
+
 def hemiball_on_ray(m: Measure, e, u: float) -> HemiBallResult:
     """Hemi-ball through u e with center on the e-axis.
 
@@ -147,12 +152,10 @@ def hemiball_on_ray(m: Measure, e, u: float) -> HemiBallResult:
     e = unit_vector(e)
     if u <= 0:
         raise ValueError("u must be positive")
-    total = m.total_mass
-    above = m.mass_in_halfspace(HalfSpace(normal=e, offset=0.0))
-    if abs(above - 0.5 * total) > 1e-6 * total + 1e-4 * total:
+    if abs(_share_above_plane(m, e) - 0.5) > 1.01e-4:
         raise ValueError("measure must bisect the plane through the origin normal to e")
     res = _half_mass_ball_on_ray(m, e, u)
-    if abs(res.mass_imbalance) > 1e-6 * total:
+    if abs(res.mass_imbalance) > 1e-6 * m.total_mass:
         raise BracketingError("half-mass bisection did not converge")
     return res
 
@@ -163,12 +166,16 @@ def solve_mapping_ball(m: Measure, e, s: float, t: float) -> HemiBallResult:
     Root of f(u) = |t e - a_u| |s e - a_u| - rho_u^2 over u in (s, t], found
     by bisection on -f.  At u = s the hemi-ball is B(s - rho, rho), so
     f(s) = rho (t - s) > 0; f(t) <= 0 exactly when s lies in the hemi-ball
-    through t, which holds for a measure that balances the plane.  When the
-    end values do not bracket a root, BracketingError names them.
+    through t, which holds for a measure that balances the plane {x . e = 0}.
+    BracketingError names the share of the mass above an unbalanced plane,
+    or end values that do not bracket a root.
     """
     e = unit_vector(e)
     if not (0 <= s < t):
         raise ValueError("need 0 <= s < t")
+    share = _share_above_plane(m, e)
+    if abs(share - 0.5) > 1.01e-4:
+        raise BracketingError(f"measure does not balance the plane normal to e: {share:.6g} of its mass lies above it")
 
     def neg_f(u: float) -> float:
         res = _half_mass_ball_on_ray(m, e, u)

@@ -232,33 +232,27 @@ def _check_halfspace_support(f: Field) -> None:
             raise ValueError("field must vanish outside the closed upper half-space")
 
 
-def _separate(f: Field):
-    """Rank-1 factorization f(x', x_N) = u(x') v(x_N), or raise."""
+def _separate(f: Field) -> np.ndarray:
+    """u of the rank-1 factorization f(x', x_N) = u(x') v(x_N), or raise."""
     n_last = f.grid.shape[-1]
     mat = f.values.reshape(-1, n_last)
     u_mat, s, vt = np.linalg.svd(mat, full_matrices=False)
     if len(s) > 1 and s[1] > 1e-10 * max(s[0], 1e-300):
         raise ValueError("representation oracle for N >= 2 needs separable f(x') v(x_N)")
     u = u_mat[:, 0] * s[0]
-    v = vt[0]
-    if np.sum(v) < 0:
-        u, v = -u, -v
-    # Radial-in-x' check: equal values at equal primed radius.
-    primed_axes = [f.grid.axis_centers(k) for k in range(f.dim - 1)]
-    mesh = np.meshgrid(*primed_axes, indexing="ij")
+    if np.sum(vt[0]) < 0:
+        u = -u
+    # Radial-in-x' check: equal values at equal primed radius.  A run of
+    # sorted radii, each within 1e-9 of the one before, counts as one radius.
+    mesh = np.meshgrid(*[f.grid.axis_centers(k) for k in range(f.dim - 1)], indexing="ij")
     r = np.sqrt(sum(m * m for m in mesh)).ravel()
     order = np.argsort(r)
     r_sorted, u_sorted = r[order], u[order]
-    scale = np.max(np.abs(u)) + 1e-300
-    i = 0
-    while i < len(r_sorted):
-        j = i
-        while j < len(r_sorted) and r_sorted[j] - r_sorted[i] < 1e-9:
-            j += 1
-        if np.ptp(u_sorted[i:j]) > 1e-8 * scale:
-            raise ValueError("representation oracle for N >= 2 needs u radial in x'")
-        i = j
-    return r, u
+    starts = np.flatnonzero(np.diff(r_sorted, prepend=-np.inf) >= 1e-9)
+    spread = np.maximum.reduceat(u_sorted, starts) - np.minimum.reduceat(u_sorted, starts)
+    if np.any(spread > 1e-8 * (np.max(np.abs(u)) + 1e-300)):
+        raise ValueError("representation oracle for N >= 2 needs u radial in x'")
+    return u
 
 
 def halfspace_representation(f: Field, kp: KernelParams) -> float:
@@ -276,7 +270,7 @@ def halfspace_representation(f: Field, kp: KernelParams) -> float:
         taus, ws = _tau_quadrature(kp.lam)
         lap = _cell_laplace(x[keep] - 0.5 * h, f.values[keep], h, taus)
         return float(ws @ lap**2 / gamma(kp.lam))
-    r_primed, u = _separate(f)
+    u = _separate(f)
     xn = f.grid.axis_centers(f.dim - 1)
     keep = xn > 0
     # Recover v from the factorization: values = outer(u, v).

@@ -73,10 +73,11 @@ def symmetrization_step(f: Field, kp: KernelParams, region) -> tuple:
     e_f = energy_direct(f, f, kp)
     e_i = energy_direct(fi, fi, kp)
     e_o = energy_direct(fo, fo, kp)
-    n_f = lp_norm(f, kp.p) ** 2
+    n_f, n_i, n_o = (lp_norm(g, kp.p) ** 2 for g in (f, fi, fo))
     q_f = e_f.value / n_f
-    q_i = e_i.value / lp_norm(fi, kp.p) ** 2
-    q_o = e_o.value / lp_norm(fo, kp.p) ** 2
+    # A splice with zero p-norm is not a candidate.
+    q_i = e_i.value / n_i if n_i > 0 else -np.inf
+    q_o = e_o.value / n_o if n_o > 0 else -np.inf
     est = (e_f.est_error + max(e_i.est_error, e_o.est_error)) / n_f
     if max(q_i, q_o) <= q_f:
         rec = StepRecord(region, q_f, q_f, "none", est)

@@ -327,6 +327,11 @@ _SMALL_2D = dict(_SMALL, command="positivity", kernel={"dim": 2, "lambda": 1.0})
         pytest.param(dict(_SMALL, function={"family": "indicator", "lo": 20, "hi": 30}), id="zero-field"),
         pytest.param(dict(_SMALL, command="represent", function={"family": "gaussian"}), id="represent-below-plane"),
         pytest.param(dict(_SMALL, command="lizhu-check", function={"family": "extremizer", "alpha": -1}), id="negative-density"),
+        pytest.param(dict(_SMALL, command="symmetrize", function={"family": "gaussian", "amplitude": -1}), id="symmetrize-negative-function"),
+        pytest.param(dict(_SMALL, command="transform", region={"ball": {"radius": 1e14}}), id="transform-every-cell-at-the-center"),
+        pytest.param(dict(_SMALL, command="positivity", region={"ball": {"radius": 1e14}}), id="positivity-every-cell-at-the-center"),
+        pytest.param(dict(_SMALL, command="transform", region={"ball": {"radius": 1e300}}), id="transform-radius-squared-overflows"),
+        pytest.param(dict(_SMALL, command="positivity", region={"ball": {"radius": 1e300}}), id="positivity-radius-squared-overflows"),
     ],
 )
 def test_config_faults_exit_two_without_traceback(tmp_path, doc):
@@ -340,6 +345,22 @@ def test_config_faults_exit_two_without_traceback(tmp_path, doc):
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config error:") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_symmetrize_of_one_edge_cell_runs_without_traceback(tmp_path):
+    # The hemi-ball centered on the one non-zero cell leaves the splice f^o
+    # identically 0; the step skips it.
+    doc = dict(_SMALL, command="symmetrize", function={"family": "indicator", "lo": 7.5, "hi": 8})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "invpos.cli", "--config", str(cfg), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == EXIT_PASS, proc.stderr
+    assert proc.stderr == ""
+    assert (tmp_path / "out" / "final_field.csv").exists()
 
 
 def test_unequal_grid_spacing_exits_two_with_its_message(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Grids, sampled fields, conformal pullbacks, and the field CSV format."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,70 @@ def test_eval_field_interpolates_inside():
     x = g.axis_centers(0)
     f = Field(g, x**2)
     assert abs(float(eval_field(f, np.array([[0.7]]))[0]) - 0.49) < 1e-4
+
+
+def _corner_loop(f, pts):
+    """Reference multilinear interpolation: an explicit loop over the 2^N cell corners.
+
+    Indices are clipped to the grid, so the half cell between the outermost
+    centers and the box edge holds the edge value; outside the box the tail
+    is used if present, otherwise 0.
+    """
+    g = f.grid
+    h = g.spacing
+    t = (pts - (g.lo + 0.5 * h)) / h
+    inside = np.all((pts >= g.lo) & (pts <= g.hi), axis=-1)
+    out = np.zeros(len(pts))
+    if f.tail is not None:
+        out[~inside] = f.tail(pts[~inside])
+    ti = t[inside]
+    top = np.asarray(g.shape) - 1
+    i0 = np.clip(np.floor(ti).astype(int), 0, top)
+    i1 = np.minimum(i0 + 1, top)
+    w = np.clip(ti - i0, 0.0, 1.0)
+    acc = np.zeros(len(ti))
+    for corner in itertools.product((0, 1), repeat=g.dim):
+        idx = tuple(np.where(c, i1[:, k], i0[:, k]) for k, c in enumerate(corner))
+        weight = np.prod(np.stack([w[:, k] if c else 1.0 - w[:, k] for k, c in enumerate(corner)], axis=0), axis=0)
+        acc += weight * f.values[idx]
+    out[inside] = acc
+    return out
+
+
+@pytest.mark.parametrize("with_tail", [False, True])
+@pytest.mark.parametrize("dim, n", [(1, 9), (1, 64), (2, 7), (2, 24), (3, 5), (3, 12)])
+def test_eval_field_matches_the_corner_loop(dim, n, with_tail):
+    rng = np.random.default_rng(dim * 100 + n)
+    g = box_grid([-3.0] * dim, [3.0] * dim, n)
+    tail = ExtremizerSpec(alpha=0.7, beta=1.5, center=np.full(dim, 0.2), power=1.3) if with_tail else None
+    f = Field(g, rng.normal(size=g.shape), tail=tail)
+    h = g.spacing
+    # Points in the half cell next to each box face, one coordinate at a time.
+    border = np.where(
+        rng.random((400, dim)) < 0.5, g.lo + h * rng.uniform(0.0, 0.5, (400, dim)), g.hi - h * rng.uniform(0.0, 0.5, (400, dim))
+    )
+    some_axes = rng.random((400, dim)) < 0.5
+    pts = np.concatenate(
+        [
+            g.points(),
+            g.lo + h * rng.integers(0, n + 1, size=(400, dim)),  # cell edges, box faces included
+            border,
+            np.where(some_axes, border, rng.uniform(-3.0, 3.0, (400, dim))),
+            rng.uniform(-3.0, 3.0, (400, dim)),
+            rng.uniform(-4.5, 4.5, (400, dim)),  # about half of them outside the box
+        ]
+    )
+    got = eval_field(f, pts)
+    ref = _corner_loop(f, pts)
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(f.values))
+    if dim == 1:
+        # Bit-identical, except within half a cell of the first center, where
+        # the second weight is taken as 1 - (1 - t), not as the fractional
+        # index t itself, and rounds differently.
+        t = (pts[:, 0] - (g.lo[0] + 0.5 * h)) / h
+        exact = (t < -0.5) | (t >= 0.5)
+        assert np.count_nonzero(exact) > len(pts) // 2
+        assert np.array_equal(got[exact], ref[exact])
 
 
 def test_reflection_pullback_moves_support():

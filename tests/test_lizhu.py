@@ -133,6 +133,13 @@ def test_solve_mapping_ball_raises_for_a_bump_between_s_and_t():
         solve_mapping_ball(Measure(density=bump), np.array([1.0]), s=0.5, t=3.0)
 
 
+def test_solve_mapping_ball_names_the_share_above_an_unbalanced_plane():
+    # Two thirds of the mass lies above x = 0, so the plane is not balanced.
+    m = Measure(points=np.array([[-1.0], [1.0], [2.0]]), weights=np.ones(3))
+    with pytest.raises(BracketingError, match="0.666667 of its mass lies above"):
+        solve_mapping_ball(m, np.array([1.0]), s=0.5, t=2.0)
+
+
 def test_pointwise_invariance_matched_vs_witness():
     v = _standard_density_1d()
     matched = check_pointwise_invariance(v, Ball(center=np.array([0.0]), radius=1.0))

@@ -265,6 +265,25 @@ def test_representation_rejects_nonradial_2d():
         halfspace_representation(Field(g, vals), kp)
 
 
+@pytest.mark.parametrize(
+    "u",
+    [
+        lambda x1, x2: np.exp(-((x1 - 0.5) ** 2 + x2**2) / 2.0),
+        lambda x1, x2: np.exp(-(x1**2) / 2.0 - x2**2 / 4.0),
+    ],
+    ids=["shifted", "elliptic"],
+)
+def test_representation_rejects_nonradial_3d(u):
+    # Both are separable; the elliptic u is even in x1 and x2, so only the
+    # cells at equal radius off the axes tell it from a radial one.
+    kp = KernelParams(dim=3, lam=1.5)
+    g = box_grid([-6.0, -6.0, 0.0], [6.0, 6.0, 12.0], 24)
+    pts = g.points().reshape(24, 24, 24, 3)
+    vals = u(pts[..., 0], pts[..., 1]) * np.exp(-((pts[..., 2] - 2.0) ** 2) / 2.0)
+    with pytest.raises(ValueError, match="radial in x'"):
+        halfspace_representation(Field(g, vals), kp)
+
+
 def test_newton_zero_overlap():
     kp = KernelParams(dim=3, lam=1.0)
     res = newton_zero_overlap(kp)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from invpos.coverage import box_coverage
 from invpos.energy import gaussian_field, rayleigh_quotient, sharp_constant
 from invpos.fields import (
     Field,
@@ -90,6 +91,19 @@ def test_step_fixes_an_invariant_field():
     h = HalfSpace(normal=np.array([1.0]), offset=0.0)
     _, rec = symmetrization_step(f, KP, h)
     assert rec.quotient_after - rec.quotient_before <= 2.0 * rec.est_error
+
+
+def test_step_skips_a_splice_with_zero_norm():
+    # f is one half-covered cell at the grid's edge and the ball is centered
+    # on it: f^o takes the image inside the ball, masked to 0 at the center,
+    # and f outside, which is 0 there, so f^o is identically 0.
+    g = box_grid([-8.0], [8.0], 16)
+    f = Field(g, box_coverage(g, [7.5], [8.0]).reshape(g.shape))
+    region = Ball(np.array([7.5]), 0.25)
+    new, rec = symmetrization_step(f, KP, region)
+    assert rec.choice == "i"
+    assert np.isfinite(rec.quotient_after) and rec.quotient_after > rec.quotient_before
+    assert np.any(new.values) and not np.array_equal(new.values, f.values)
 
 
 def test_fit_extremizer_recovers_exact_parameters():
