@@ -56,10 +56,14 @@ def bisect_increasing(
     return 0.5 * (lo + hi)
 
 
+def _sub_steps(h: float) -> np.ndarray:
+    """Offsets of the SUBSAMPLE subsample points from a cell center along one axis."""
+    return (np.arange(SUBSAMPLE) - (SUBSAMPLE - 1) / 2.0) * (h / SUBSAMPLE)
+
+
 def sub_offsets(dim: int, h: float) -> np.ndarray:
     """Offsets of the SUBSAMPLE^dim subsample points from a cell center."""
-    steps = (np.arange(SUBSAMPLE) - (SUBSAMPLE - 1) / 2.0) * (h / SUBSAMPLE)
-    combos = list(itertools.product(steps, repeat=dim))
+    combos = list(itertools.product(_sub_steps(h), repeat=dim))
     return np.asarray(combos)
 
 
@@ -103,7 +107,7 @@ def ball_coverage(grid: Grid, center, radius: float) -> np.ndarray:
         # Squared distance of subsample (a_0, ..., a_{N-1}) of a shell cell:
         # per-axis tables (x + step_a - c)^2 gathered and summed in axis order,
         # laid out as the rows of sub_offsets.
-        steps = (np.arange(SUBSAMPLE) - (SUBSAMPLE - 1) / 2.0) * (h / SUBSAMPLE)
+        steps = _sub_steps(h)
         terms = []
         for k, (x, i) in enumerate(zip(xs, np.nonzero(shell))):
             tab = ((x[:, None] + steps - center[k]) * down) ** 2
@@ -115,20 +119,29 @@ def ball_coverage(grid: Grid, center, radius: float) -> np.ndarray:
 
 
 def halfspace_coverage(grid: Grid, normal, offset: float) -> np.ndarray:
-    """Fraction of each cell inside {x . normal > offset}."""
-    pts = grid.points()
+    """Fraction of each cell inside {x . normal > offset}.
+
+    The signed distance s = x . normal - offset of each cell centre is summed
+    from per-axis projections of the axis centres, and only the slab of cells
+    within half_diag of the plane is subsampled, from per-axis tables of the
+    subsample projections laid out as the rows of sub_offsets.
+    """
     h = grid.spacing
-    s = pts @ np.atleast_1d(normal) - offset
+    normal = np.atleast_1d(normal)
     half_diag = 0.5 * h * np.sqrt(grid.dim) + 0.5 * h / SUBSAMPLE
-    cov = np.zeros(len(pts))
-    cov[s >= half_diag] = 1.0
-    boundary = np.abs(s) < half_diag
-    if np.any(boundary):
-        offs = sub_offsets(grid.dim, h)
-        ssub = (pts[boundary][:, None, :] + offs[None, :, :]) @ np.atleast_1d(normal) - offset
+    xs = [grid.axis_centers(k) for k in range(grid.dim)]
+    s = sum((x * normal[k]).reshape((-1,) + (1,) * (grid.dim - 1 - k)) for k, x in enumerate(xs)) - offset
+    cov = np.where(s >= half_diag, 1.0, 0.0)
+    slab = np.abs(s) < half_diag
+    if slab.any():
+        terms = []
+        for k, (x, i) in enumerate(zip(xs, np.nonzero(slab))):
+            tab = (x[:, None] + _sub_steps(h)) * normal[k]
+            terms.append(tab[i].reshape((-1,) + (1,) * k + (SUBSAMPLE,) + (1,) * (grid.dim - 1 - k)))
+        ssub = (sum(terms) - offset).reshape(len(terms[0]), -1)
         ramp = np.clip(ssub / (h / SUBSAMPLE) + 0.5, 0.0, 1.0)
-        cov[boundary] = ramp.mean(axis=1)
-    return cov.reshape(grid.shape)
+        cov[slab] = ramp.mean(axis=1)
+    return cov
 
 
 def box_coverage(grid: Grid, lo, hi) -> np.ndarray:

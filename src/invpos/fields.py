@@ -243,10 +243,50 @@ def apply_inversion(b: Ball, f: Field, kp: KernelParams) -> Field:
     return Field(f.grid, vals.reshape(f.grid.shape))
 
 
+# A plane is taken to lie on a cell edge when it is within this many cells of
+# one.  The flip then differs from interpolating at the mirrored centres by at
+# most twice that fraction of the largest step between neighbouring cells,
+# far below the O(h^2) interpolation error of an off-edge plane, while the
+# rounding of an edge offset lo + e h is of order 1e-15 cells.
+_EDGE_TOL = 1e-9
+
+
+def _edge_mirror(h: HalfSpace, grid: Grid):
+    """(axis k, mirror index of each cell along k) when H maps the grid onto itself, else None.
+
+    That is when the normal is +-e_k and the plane lies on a cell edge e:
+    the mirror of cell j is then cell 2e - 1 - j.
+    """
+    axes = np.flatnonzero(h.normal)
+    if len(axes) != 1 or abs(h.normal[axes[0]]) != 1.0:
+        return None
+    k = int(axes[0])
+    edge = float((h.normal[k] * h.offset - grid.lo[k]) / grid.spacing)
+    if not abs(edge - round(edge)) <= _EDGE_TOL:
+        return None
+    return k, 2 * int(round(edge)) - 1 - np.arange(grid.shape[k])
+
+
 def apply_reflection(h: HalfSpace, f: Field) -> Field:
-    """Lifted reflection f(Theta_H(x)) on f's grid."""
-    mapped = reflect_point(h, f.grid.points())
-    return Field(f.grid, eval_field(f, mapped).reshape(f.grid.shape))
+    """Lifted reflection f(Theta_H(x)) on f's grid.
+
+    A plane normal to an axis on a cell edge maps cell centres onto cell
+    centres, so the pullback is an index flip; a cell whose mirror leaves the
+    grid takes the tail at its reflected point, or 0, as ``eval_field`` would.
+    Every other plane interpolates.
+    """
+    g = f.grid
+    mirror = _edge_mirror(h, g)
+    if mirror is None:
+        return Field(g, eval_field(f, reflect_point(h, g.points())).reshape(g.shape))
+    k, src = mirror
+    n = g.shape[k]
+    vals = np.take(f.values, np.clip(src, 0, n - 1), axis=k)
+    outside = ((src < 0) | (src >= n)).reshape((1,) * k + (n,) + (1,) * (g.dim - 1 - k))
+    if outside.any():
+        cells = np.broadcast_to(outside, g.shape)
+        vals[cells] = 0.0 if f.tail is None else f.tail(reflect_point(h, g.points()[cells.ravel()]))
+    return Field(g, vals)
 
 
 def region_mask(region, grid: Grid) -> np.ndarray:

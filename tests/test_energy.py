@@ -82,6 +82,17 @@ def test_energy_is_symmetric_and_bilinear():
     assert np.isclose(lhs, rhs, rtol=1e-10)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_energy_is_symmetric_bit_for_bit(dim):
+    kp = KernelParams(dim=dim, lam=0.4 * dim)
+    n = {1: 96, 2: 24, 3: 10}[dim]
+    g = box_grid([-2.0] * dim, [2.0] * dim, n)
+    rng = np.random.default_rng(dim)
+    f = Field(g, rng.uniform(size=g.shape))
+    h = Field(g, rng.normal(size=g.shape))
+    assert energy_direct(f, h, kp) == energy_direct(h, f, kp)
+
+
 def test_gaussian_energy_against_closed_form_3d():
     kp = KernelParams(dim=3, lam=1.0)
     g = box_grid([-6.0] * 3, [6.0] * 3, 48)
@@ -187,6 +198,25 @@ def test_cached_operator_matches_window_convolution(shape, lam):
     reflected = energy.apply_kernel(values, energy.kernel_spectrum(shape, h, lam, lo_n))
     want = _window_conv(values, _dense_reflected_kernel(shape, h, lo_n, lam))
     assert np.max(np.abs(reflected - want) / np.abs(want)) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "shape, lengths", [((41,), (81,)), ((37,), (75,)), ((48,), (96,)), ((13, 9), (25, 18)), ((7, 6, 5), (15, 12, 9)), ((41, 8), (81, 15))]
+)
+@pytest.mark.parametrize("same", [True, False])
+def test_forward_only_pair_sum_matches_window_convolution(shape, lengths, same):
+    # Even and odd FFT lengths on the last axis: the half-spectrum weights
+    # differ in the Nyquist bin.
+    assert energy._fast_shape(shape) == lengths
+    lam, h = 0.7, 0.3
+    grid = box_grid([0.0] * len(shape), [h * n for n in shape], list(shape))
+    rng = np.random.default_rng(len(shape))
+    f = Field(grid, rng.uniform(0.1, 1.0, size=shape))
+    g = f if same else Field(grid, rng.uniform(0.1, 1.0, size=shape))
+    off_diag = np.sum(g.values * _window_conv(f.values, energy._offset_kernel(shape, h, lam))) * h ** (2 * len(shape))
+    diag = np.sum(f.values * g.values) * energy._diag_cell_constant(len(shape), lam) * h ** (2 * len(shape) - lam)
+    want = off_diag + diag
+    assert abs(energy._pair_sum(f, g, lam) - want) <= 1e-13 * abs(want)
 
 
 def test_value_only_energy_is_bit_identical():

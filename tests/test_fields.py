@@ -5,9 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
+from invpos import fields
 from invpos.fields import (
     ExtremizerSpec,
     Field,
+    Grid,
     KernelParams,
     apply_inversion,
     apply_reflection,
@@ -21,7 +23,7 @@ from invpos.fields import (
     read_field_csv,
     write_field_csv,
 )
-from invpos.geometry import Ball, HalfSpace
+from invpos.geometry import Ball, HalfSpace, reflect_point
 
 
 def test_kernel_params_validation_and_exponent():
@@ -139,6 +141,61 @@ def test_reflection_pullback_moves_support():
     i_orig = np.argmax(f.values)
     i_refl = np.argmax(rf.values)
     assert np.isclose(x[i_refl], -x[i_orig], atol=g.spacing)
+
+
+def _interpolated_reflection(h, f):
+    return eval_field(f, reflect_point(h, f.grid.points())).reshape(f.grid.shape)
+
+
+@pytest.mark.parametrize("dim, shape", [(1, (13,)), (2, (10, 7)), (3, (8, 6, 5))])
+def test_axis_plane_on_a_cell_edge_is_an_index_flip(dim, shape, monkeypatch):
+    g = Grid(lo=np.array([-1.3, -0.7, 0.2][:dim]), spacing=0.3, shape=shape)
+    f = Field(g, np.random.default_rng(dim).uniform(-1.0, 1.0, size=shape))
+    cases = []
+    for k, n in enumerate(shape):
+        # Box faces, the edges next to them, and interior edges.
+        for e in sorted({0, 1, 2, n // 2, n - 2, n - 1, n}):
+            for sign in (1.0, -1.0):
+                normal = np.zeros(dim)
+                normal[k] = sign
+                h = HalfSpace(normal, sign * (g.lo[k] + e * g.spacing))
+                cases.append((h, _interpolated_reflection(h, f)))
+
+    def no_interpolation(*args):
+        raise AssertionError("an edge plane must not interpolate")
+
+    monkeypatch.setattr(fields, "eval_field", no_interpolation)
+    for h, ref in cases:
+        assert np.max(np.abs(apply_reflection(h, f).values - ref)) <= 1e-14 * np.max(np.abs(f.values)), h
+
+
+def test_index_flip_takes_the_tail_where_mirrors_leave_the_box():
+    kp = KernelParams(dim=1, lam=0.5)
+    g = box_grid([-3.0], [4.0], 35)
+    f = make_extremizer(extremizer_spec(kp, center=[0.5]), kp, g)
+    for e, sign in [(3, 1.0), (3, -1.0), (30, 1.0), (0, 1.0), (35, -1.0)]:
+        h = HalfSpace(np.array([sign]), sign * (g.lo[0] + e * g.spacing))
+        got = apply_reflection(h, f).values
+        ref = _interpolated_reflection(h, f)
+        mirror = 2 * e - 1 - np.arange(35)
+        left = (mirror < 0) | (mirror >= 35)
+        assert left.any() and np.all(got[left] > 0.0)
+        assert np.array_equal(got[left], ref[left])
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(f.values)
+
+
+def test_off_edge_and_oblique_planes_still_interpolate():
+    g = Grid(lo=np.array([-1.3, -0.7, 0.2]), spacing=0.3, shape=(8, 6, 5))
+    f = Field(g, np.random.default_rng(3).uniform(-1.0, 1.0, size=g.shape))
+    planes = [
+        HalfSpace(np.array([0.0, 1.0, 0.0]), float(g.lo[1] + 2.4 * g.spacing)),
+        HalfSpace(np.array([0.0, 0.0, -1.0]), -float(g.lo[2] + 3.0 * g.spacing + 1e-6)),
+        HalfSpace(np.array([0.6, 0.8, 0.0]), float(g.lo[0] + 4.0 * g.spacing)),
+    ]
+    for h in planes:
+        # A flip would differ from the interpolated values: by 2e-6 of a step
+        # between neighbours even for the plane 1e-6 off the edge.
+        assert np.array_equal(apply_reflection(h, f).values, _interpolated_reflection(h, f))
 
 
 def test_inversion_pullback_is_an_involution_on_compact_support():
