@@ -5,19 +5,20 @@ index offset.  Zero-padded so that no offset wraps, it is the quadratic form
 <g, K f> = (1/M) sum_xi K^(xi) Re(conj(G^(xi)) F^(xi)) over the M bins of
 the padded spectrum, so an energy takes one forward transform per distinct
 field and no inverse transform; the result agrees to rounding with the
-literal O(M^2) pair loop.  The offset kernel is even on every axis, so its
-spectrum is real: it is built on one octant of offsets, transformed once
-per grid shape, spacing and lambda, and a small cache keeps the last few
-spectra as real arrays with the half-spectrum weights and 1/M folded in.
-The forward transform of a field skips the lines of the padded array that
-hold only zeros.  The singular self-cell is handled by the exact cell-cell
-integral (closed form in 1D, a fixed local product rule in 2D/3D).
+literal pair loop.  The offset kernel is even on every axis, so its spectrum
+is real: it is built on one octant of offsets, transformed once per grid
+shape, spacing and lambda, and a small cache keeps the last few spectra as
+real arrays with the half-spectrum weights and 1/M folded in.  The forward
+transform of a field skips the lines of the padded array that hold only
+zeros.  The singular self-cell is handled by the exact cell-cell integral
+(closed form in 1D, a fixed local product rule in 2D/3D).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,7 +116,9 @@ def _octant_kernel(shape, spacing: float, lam: float) -> np.ndarray:
 
 def _gather(kern: np.ndarray, rows) -> np.ndarray:
     """kern at the outer product of per-axis index ``rows``; index n on an axis of length n reads 0."""
-    return np.pad(kern, [(0, 1)] * kern.ndim)[np.ix_(*rows)]
+    padded = np.zeros(tuple(n + 1 for n in kern.shape))
+    padded[tuple(slice(0, n) for n in kern.shape)] = kern
+    return padded[np.ix_(*rows)]
 
 
 def _offset_kernel(shape, spacing: float, lam: float) -> np.ndarray:
@@ -197,7 +200,7 @@ def kernel_spectrum(shape: tuple, spacing: float, lam: float, reflect_lo=None) -
         # Window index d + n - 1 at index d mod L; indices of 2n - 1 and more read 0.
         rows = [np.minimum((c + n - 1) % length, 2 * n - 1) for c, length, n in zip(steps, size, shape)]
         spec = sfft.rfftn(_gather(_reflected_kernel(shape, spacing, reflect_lo, lam), rows))
-    spec = spec * (_half_spectrum_weights(size[-1]) / np.prod(size, dtype=float))
+    spec = spec * (_half_spectrum_weights(size[-1]) / math.prod(size))
     spec.flags.writeable = False
     return spec
 
