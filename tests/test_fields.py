@@ -193,8 +193,8 @@ def test_off_edge_and_oblique_planes_still_interpolate():
         HalfSpace(np.array([0.6, 0.8, 0.0]), float(g.lo[0] + 4.0 * g.spacing)),
     ]
     for h in planes:
-        # A flip would differ from the interpolated values: by 2e-6 of a step
-        # between neighbours even for the plane 1e-6 off the edge.
+        # A flip would differ from the interpolated values, by about 7e-6 of a
+        # neighbour step even for the plane 1e-6 (3e-6 cells) off the edge.
         assert np.array_equal(apply_reflection(h, f).values, _interpolated_reflection(h, f))
 
 
