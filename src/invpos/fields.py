@@ -254,17 +254,18 @@ _EDGE_TOL = 1e-9
 def _edge_mirror(h: HalfSpace, grid: Grid):
     """(axis k, mirror index of each cell along k) when H maps the grid onto itself, else None.
 
-    That is when the normal is +-e_k and the plane lies on a cell edge e:
-    the mirror of cell j is then cell 2e - 1 - j.
+    That is when the normal is +-e_k and the plane lies on a cell edge e of
+    the box, its faces included: the mirror of cell j is then cell
+    2e - 1 - j.  Python floats carry a far-off plane to inf, not a warning.
     """
     axes = np.flatnonzero(h.normal)
     if len(axes) != 1 or abs(h.normal[axes[0]]) != 1.0:
         return None
     k = int(axes[0])
-    edge = float((h.normal[k] * h.offset - grid.lo[k]) / grid.spacing)
-    if not abs(edge - round(edge)) <= _EDGE_TOL:
+    edge = (float(h.normal[k]) * h.offset - float(grid.lo[k])) / float(grid.spacing)
+    if not -_EDGE_TOL <= edge <= grid.shape[k] + _EDGE_TOL or abs(edge - round(edge)) > _EDGE_TOL:
         return None
-    return k, 2 * int(round(edge)) - 1 - np.arange(grid.shape[k])
+    return k, 2 * round(edge) - 1 - np.arange(grid.shape[k])
 
 
 def apply_reflection(h: HalfSpace, f: Field) -> Field:

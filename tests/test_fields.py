@@ -191,6 +191,9 @@ def test_off_edge_and_oblique_planes_still_interpolate():
         HalfSpace(np.array([0.0, 1.0, 0.0]), float(g.lo[1] + 2.4 * g.spacing)),
         HalfSpace(np.array([0.0, 0.0, -1.0]), -float(g.lo[2] + 3.0 * g.spacing + 1e-6)),
         HalfSpace(np.array([0.6, 0.8, 0.0]), float(g.lo[0] + 4.0 * g.spacing)),
+        # Whole numbers of cells from the box, far out: every mirror leaves it.
+        HalfSpace(np.array([1.0, 0.0, 0.0]), 1e300),
+        HalfSpace(np.array([0.0, -1.0, 0.0]), float(-g.lo[1] + 3.0 * g.spacing)),
     ]
     for h in planes:
         # A flip would differ from the interpolated values, by about 7e-6 of a
