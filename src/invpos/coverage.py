@@ -2,7 +2,7 @@
 
 Boundary cells get a fractional weight from a 3^N subsample with a linear
 ramp at the interface, so the mass is continuous and monotone in the region
-parameter; bisection on it converges to arbitrary tolerance.  The hemi-ball
+parameter; the half-mass search on it converges to arbitrary tolerance.  The hemi-ball
 searches of ``symmetrize`` and ``lizhu`` weigh their densities with
 ``density_mass`` and find centred half-mass radii with ``half_mass_radius``.
 """
@@ -20,6 +20,8 @@ from .fields import ExtremizerSpec, Field, Grid
 from .geometry import Ball
 
 SUBSAMPLE = 3
+# Steps the half-mass search may take beyond plain halving to reach a given bracket width.
+SLACK = 3
 
 
 class BracketingError(RuntimeError):
@@ -31,28 +33,55 @@ def bisect_increasing(
 ) -> float:
     """Zero of an increasing function, such as a mass minus half the total mass.
 
-    With ``max_hi`` set, hi first doubles until excess(hi) >= 0, and
-    BracketingError is raised once hi passes max_hi or overflows to inf
-    (max_hi itself may be inf for a huge grid); without it [lo, hi] is
-    taken as a bracket and hi is never evaluated.  At most 120 halvings
-    follow, stopping when |excess| < tol or the bracket is narrower than
-    1e-14 max(1, |hi|).  The half-mass searches pass tol = 1e-9 of the
+    hi is evaluated first.  With ``max_hi`` set, hi doubles until
+    excess(hi) >= 0, each failed hi becoming lo, and BracketingError is
+    raised once hi passes max_hi or overflows to inf (max_hi itself may be
+    inf for a huge grid); without it [lo, hi] is taken as a bracket.  The
+    given lo is never evaluated (it may be a degenerate end such as radius
+    0), so the steps halve the bracket until lo carries a value.  From then
+    on each step is a regula-falsi one on the two end values with the
+    Illinois rule (an end kept twice in a row has its value halved): it uses
+    the mass, not just its sign, and lands in one step on a linear piece.
+    The step point is pulled toward the midpoint as far as needed to keep
+    the bracket after k steps within 2^(SLACK - k) of its starting width, so
+    a step that shrinks the bracket too slowly is followed by halving, and
+    any width is reached within SLACK steps of plain halving.  At most 120
+    steps are taken, stopping when |excess| < tol or the bracket is narrower
+    than 1e-14 max(1, |hi|).  The half-mass searches pass tol = 1e-9 of the
     total mass.
     """
+    f_lo, f_hi = None, excess(hi)
     if max_hi is not None:
-        while excess(hi) < 0:
+        while f_hi < 0:
+            lo, f_lo = hi, f_hi
             hi *= 2.0
             if hi > max_hi or hi == np.inf:
                 raise BracketingError(f"could not bracket half the mass below {max_hi:.6g}")
-    for _ in range(120):
+            f_hi = excess(hi)
+    if abs(f_hi) < tol:
+        return hi
+    width0, kept = hi - lo, None
+    for k in range(120):
         mid = 0.5 * (lo + hi)
-        e = excess(mid)
+        x = mid
+        if f_lo is not None and f_lo < 0 < f_hi:
+            r = max(0.0, math.ldexp(width0, SLACK - k - 1) - 0.5 * (hi - lo))
+            x = min(max(lo - f_lo * ((hi - lo) / (f_hi - f_lo)), mid - r), mid + r)
+            if not lo < x < hi:
+                x = mid
+        e = excess(x)
         if abs(e) < tol or hi - lo < 1e-14 * max(1.0, abs(hi)):
-            return mid
+            return x
         if e < 0:
-            lo = mid
+            lo, f_lo = x, e
+            if kept == "hi":
+                f_hi *= 0.5
+            kept = "hi"
         else:
-            hi = mid
+            hi, f_hi = x, e
+            if kept == "lo" and f_lo is not None:
+                f_lo *= 0.5
+            kept = "lo"
     return 0.5 * (lo + hi)
 
 

@@ -233,7 +233,11 @@ def richardson(quadrature: str, evaluate, *fields: Field, estimate: bool = True)
     if not estimate:
         return EnergyResult(value=value, quadrature=quadrature, est_error=float("nan"), est_kind="none")
     try:
-        est, kind = abs(value - evaluate(*(coarsen(f) for f in fields))), "richardson"
+        # Each distinct field is coarsened once, so evaluate(f, f) gets one
+        # coarse field twice and keeps its `g is f` reuse.
+        distinct = {id(f): f for f in fields}
+        coarse = {key: coarsen(f) for key, f in distinct.items()}
+        est, kind = abs(value - evaluate(*(coarse[id(f)] for f in fields))), "richardson"
     except ValueError:
         est, kind = abs(value) * 1e-2, "guessed"
     return EnergyResult(value=value, quadrature=quadrature, est_error=est, est_kind=kind)

@@ -31,15 +31,17 @@ def _as_points(x) -> np.ndarray:
 def unit_vector(v) -> np.ndarray:
     """v / |v| for a non-zero finite vector, with no overflow or underflow.
 
-    v is first scaled by the power of two that brings its largest entry into
-    [1/2, 1); the scaling is exact, so the result is the same float as
-    v / |v| wherever that norm neither overflows nor underflows.
+    Where the largest entry lies in (2^-500, 2^500) no square overflows or
+    underflows, and the result is v / |v| itself.  Outside that range v is
+    first divided by its largest entry, so that [c, c] becomes exactly
+    [1, 1] and names the same unit vector for every c.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     top = float(np.max(np.abs(v)))
     if not (top > 0 and np.isfinite(top)):
         raise ValueError("cannot normalize a zero or non-finite vector")
-    v = np.ldexp(v, -math.frexp(top)[1])
+    if not 2.0**-500 < top < 2.0**500:
+        v = v / top
     return v / np.linalg.norm(v)
 
 

@@ -66,7 +66,7 @@ class Measure:
     @functools.cached_property
     def total_mass(self) -> float:
         # Computed once: for a 1-D density with a tail it takes two quad
-        # integrals, and every hemi-ball bisection reads it.
+        # integrals, and every hemi-ball search reads it.
         if self.points is not None:
             return float(self.weights.sum())
         return density_mass(self.density)
@@ -127,9 +127,11 @@ class HemiBallResult:
 
 
 def _half_mass_ball_on_ray(m: Measure, e: np.ndarray, u: float) -> HemiBallResult:
-    """Bisection over rho on the monotone map rho -> mu(B_rho((u - rho) e))."""
+    """Half-mass search over rho on the monotone map rho -> mu(B_rho((u - rho) e))."""
     total = m.total_mass
 
+    # Cached, so the imbalance at the returned rho is not weighed again.
+    @functools.lru_cache(maxsize=None)
     def excess(rho: float) -> float:
         return m.mass_in_ball(Ball(center=(u - rho) * e, radius=rho)) - 0.5 * total
 
@@ -164,9 +166,10 @@ def solve_mapping_ball(m: Measure, e, s: float, t: float) -> HemiBallResult:
     """Hemi-ball B with center on the e-axis and Theta_B(s e) = t e.
 
     Root of f(u) = |t e - a_u| |s e - a_u| - rho_u^2 over u in (s, t], found
-    by bisection on -f.  At u = s the hemi-ball is B(s - rho, rho), so
-    f(s) = rho (t - s) > 0; f(t) <= 0 exactly when s lies in the hemi-ball
-    through t, which holds for a measure that balances the plane {x . e = 0}.
+    by ``coverage.bisect_increasing`` on -f.  At u = s the hemi-ball is
+    B(s - rho, rho), so f(s) = rho (t - s) > 0; f(t) <= 0 exactly when s
+    lies in the hemi-ball through t, which holds for a measure that balances
+    the plane {x . e = 0}.
     BracketingError names the share of the mass above an unbalanced plane,
     or end values that do not bracket a root.
     """
@@ -177,8 +180,12 @@ def solve_mapping_ball(m: Measure, e, s: float, t: float) -> HemiBallResult:
     if abs(share - 0.5) > 1.01e-4:
         raise BracketingError(f"measure does not balance the plane normal to e: {share:.6g} of its mass lies above it")
 
+    # Cached: the search evaluates t again after the sign check, and the
+    # ball at its root is one it has already found.
+    ball_at = functools.lru_cache(maxsize=None)(lambda u: _half_mass_ball_on_ray(m, e, u))
+
     def neg_f(u: float) -> float:
-        res = _half_mass_ball_on_ray(m, e, u)
+        res = ball_at(u)
         a = u - res.radius
         return res.radius**2 - abs(t - a) * abs(s - a)
 
@@ -186,8 +193,7 @@ def solve_mapping_ball(m: Measure, e, s: float, t: float) -> HemiBallResult:
     f_lo, f_hi = -neg_f(u_lo), -neg_f(t)
     if not f_lo > 0 >= f_hi:
         raise BracketingError(f"f(u) does not change sign on [{u_lo:.6g}, {t:.6g}]: f = {f_lo:.6g} and {f_hi:.6g}")
-    u = bisect_increasing(neg_f, u_lo, t, 1e-12 * max(1.0, t * t))
-    return _half_mass_ball_on_ray(m, e, u)
+    return ball_at(bisect_increasing(neg_f, u_lo, t, 1e-12 * max(1.0, t * t)))
 
 
 def check_pointwise_invariance(v: Field, b: Ball) -> float:

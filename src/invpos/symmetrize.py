@@ -36,10 +36,10 @@ def _lp_density(f: Field, kp: KernelParams) -> tuple:
 def hemiball_radius(f: Field, kp: KernelParams, a) -> float:
     """Radius r with int_{B_r(a)} |f|^p = half the total |f|^p mass.
 
-    Bisection (``coverage.half_mass_radius``) on the monotone
+    The half-mass search (``coverage.half_mass_radius``) on the monotone
     coverage-weighted mass profile: it stops once the imbalance is below
     1e-9 of the total mass or the radius bracket is narrower than
-    1e-14 max(1, r), after at most 120 halvings.
+    1e-14 max(1, r), after at most 120 steps.
     """
     dens, total = _lp_density(f, kp)
     return half_mass_radius(dens, a, total)

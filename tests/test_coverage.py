@@ -1,12 +1,14 @@
 """Fractional cell coverage of balls, half-spaces, boxes, and analytic tails."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from invpos import positivity
+from invpos import coverage, positivity
 from invpos.coverage import (
+    SLACK,
     SUBSAMPLE,
     BracketingError,
     ball_coverage,
@@ -17,8 +19,9 @@ from invpos.coverage import (
     sub_offsets,
     tail_mass_1d,
 )
-from invpos.fields import ExtremizerSpec, KernelParams, box_grid
+from invpos.fields import ExtremizerSpec, Field, KernelParams, box_grid
 from invpos.geometry import unit_vector
+from invpos.lizhu import Measure, solve_mapping_ball
 
 
 def _full_grid_ball_coverage(grid, center, radius):
@@ -218,3 +221,109 @@ def test_bracket_that_overflows_raises():
 
     with pytest.raises(BracketingError):
         bisect_increasing(excess, 0.0, 1.0, 1.0, max_hi=np.inf)
+
+
+def _halving(excess, lo, hi, tol, max_hi=None):
+    """(zero, evaluations) of the search by plain halving, for comparison."""
+    seen = []
+
+    def counted(x):
+        seen.append(x)
+        return excess(x)
+
+    if max_hi is not None:
+        while counted(hi) < 0:
+            hi *= 2.0
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        e = counted(mid)
+        if abs(e) < tol or hi - lo < 1e-14 * max(1.0, abs(hi)):
+            return mid, len(seen)
+        lo, hi = (mid, hi) if e < 0 else (lo, mid)
+    return 0.5 * (lo + hi), len(seen)
+
+
+# Increasing functions with their zero at r: smooth, a step 1e-13 wide, a
+# vertical tangent, an exponential, and a slope that jumps by 1e12 at r.
+_SEARCH_FUNCTIONS = {
+    "linear": lambda x, r: x - r,
+    "ramp step": lambda x, r: min(max((x - r) / 1e-13, -1.0), 1.0),
+    "ninth root": lambda x, r: math.copysign(abs(x - r) ** (1.0 / 9.0), x - r),
+    "exp(40x)": lambda x, r: math.exp(40.0 * x) - math.exp(40.0 * r),
+    "flat then steep": lambda x, r: x - r if x < r else 1e12 * (x - r),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SEARCH_FUNCTIONS))
+@pytest.mark.parametrize("max_hi", [None, 64.0])
+def test_search_meets_the_stop_rule_within_a_few_steps_of_halving(name, max_hi):
+    fn = _SEARCH_FUNCTIONS[name]
+    # With max_hi the bracket starts at [0, 1/64] and doubles.
+    hi = 1.0 if max_hi is None else 1.0 / 64.0
+    for r in (0.3, 1.0 / 3.0, 0.7, 1e-3, 0.999):
+        for tol in (1e-9, 1e-3):
+            seen = []
+
+            def excess(x):
+                seen.append(x)
+                return fn(x, r)
+
+            x = bisect_increasing(excess, 0.0, hi, tol, max_hi=max_hi)
+            assert abs(fn(x, r)) < tol or abs(x - r) < 1e-14, (r, tol, x)
+            # SLACK steps behind halving at worst, plus the first
+            # evaluation of hi.
+            _, halving = _halving(lambda x: fn(x, r), 0.0, hi, tol, max_hi=max_hi)
+            assert len(seen) <= halving + SLACK + 1, (r, tol, len(seen), halving)
+
+
+def test_flat_then_steep_search_takes_fewer_steps_than_halving():
+    # Plain regula falsi, even with the Illinois rule, creeps up the flat side
+    # here and hits the step cap; the pull toward the midpoint prevents it.
+    fn = _SEARCH_FUNCTIONS["flat then steep"]
+    seen = []
+    x = bisect_increasing(lambda x: seen.append(x) or fn(x, 0.3), 0.0, 1.0, 1e-9)
+    assert abs(fn(x, 0.3)) < 1e-9
+    assert len(seen) <= _halving(lambda x: fn(x, 0.3), 0.0, 1.0, 1e-9)[1] + SLACK + 1 < 40
+
+
+@pytest.mark.parametrize("max_hi", [None, 1e3])
+def test_search_never_evaluates_lo(max_hi):
+    # lo may be a degenerate end, such as a ball of radius 0.
+    def excess(x):
+        if x == 0.0:
+            raise AssertionError("lo was evaluated")
+        return x - 0.25
+
+    # A hi below the zero is doubled only with max_hi.
+    for hi in (1.0, 0.25 + 1e-12) + ((1e-2,) if max_hi else ()):
+        assert abs(bisect_increasing(excess, 0.0, hi, 1e-12, max_hi=max_hi) - 0.25) < 1e-12
+
+
+def test_search_stops_doubling_past_max_hi():
+    seen = []
+
+    def excess(x):
+        seen.append(x)
+        return x - 100.0
+
+    with pytest.raises(BracketingError, match="could not bracket half the mass below 50"):
+        bisect_increasing(excess, 0.0, 1.0, 1e-9, max_hi=50.0)
+    assert seen == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
+
+
+def test_mapping_ball_search_makes_few_mass_evaluations():
+    # The density of the hemiball-1d benchmark: each mapping ball took about
+    # 1 300 ball coverages by halving.
+    g = box_grid([-20.0], [20.0], 2048)
+    x = g.axis_centers(0)
+    tail = ExtremizerSpec(alpha=1.0, beta=1.0, center=np.array([0.0]), power=1.0)
+    m = Measure(density=Field(g, (1.0 + x**2) ** (-1.0), tail=tail))
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coverage, "ball_coverage", lambda *a: calls.append(1) or ball_coverage(*a))
+        for s, t in ((0.0, 0.5), (0.5, 2.0), (0.1, 3.0), (2.5, 2.6)):
+            calls.clear()
+            res = solve_mapping_ball(m, np.array([1.0]), s, t)
+            c = (s * t - 1.0) / (s + t)
+            assert abs(res.center[0] - c) < 5e-3 and abs(res.radius - math.hypot(1.0, c)) < 5e-3
+            assert len(calls) < 600, (s, t, len(calls))

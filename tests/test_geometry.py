@@ -103,3 +103,11 @@ def test_unit_vector_is_v_over_its_norm_at_every_scale():
     for bad in ([0.0, 0.0], [np.inf, 1.0], [np.nan, 1.0]):
         with pytest.raises(ValueError):
             unit_vector(bad)
+
+
+def test_unit_vector_of_equal_entries_at_extreme_scales():
+    # Outside (2^-500, 2^500) v is divided by its largest entry, so [c, c]
+    # and [c, -c] are exactly [1, 1] and [1, -1] before normalizing.
+    for c in (1e-300, 3e-300, 1e300, 2.0**-1074):
+        assert np.array_equal(unit_vector([c, c]), unit_vector([1.0, 1.0]))
+        assert np.array_equal(unit_vector([c, -c]), unit_vector([1.0, -1.0]))
