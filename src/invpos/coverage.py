@@ -2,9 +2,10 @@
 
 Boundary cells get a fractional weight from a 3^N subsample with a linear
 ramp at the interface, so the mass is continuous and monotone in the region
-parameter; the half-mass search on it converges to arbitrary tolerance.  The hemi-ball
-searches of ``symmetrize`` and ``lizhu`` weigh their densities with
-``density_mass`` and find centred half-mass radii with ``half_mass_radius``.
+parameter; the half-mass search on it converges to arbitrary tolerance.  The
+hemi-ball searches of ``symmetrize`` and ``lizhu`` weigh their densities
+with ``density_mass`` and find centred half-mass radii with
+``half_mass_radius``.
 """
 
 from __future__ import annotations
@@ -40,15 +41,14 @@ def bisect_increasing(
     given lo is never evaluated (it may be a degenerate end such as radius
     0), so the steps halve the bracket until lo carries a value.  From then
     on each step is a regula-falsi one on the two end values with the
-    Illinois rule (an end kept twice in a row has its value halved): it uses
-    the mass, not just its sign, and lands in one step on a linear piece.
-    The step point is pulled toward the midpoint as far as needed to keep
-    the bracket after k steps within 2^(SLACK - k) of its starting width, so
-    a step that shrinks the bracket too slowly is followed by halving, and
-    any width is reached within SLACK steps of plain halving.  At most 120
-    steps are taken, stopping when |excess| < tol or the bracket is narrower
-    than 1e-14 max(1, |hi|).  The half-mass searches pass tol = 1e-9 of the
-    total mass.
+    Illinois rule (an end kept twice in a row has its value halved), so it
+    uses the mass, not just its sign.  The step point is pulled toward the
+    midpoint as far as needed to keep the bracket after k steps within
+    2^(SLACK - k) of its starting width, so a step that shrinks the bracket
+    too slowly is followed by halving, and any width is reached within
+    SLACK steps of plain halving.  At most 120 steps are taken, stopping
+    when |excess| < tol or the bracket is narrower than 1e-14 max(1, |hi|).
+    The half-mass searches pass tol = 1e-9 of the total mass.
     """
     f_lo, f_hi = None, excess(hi)
     if max_hi is not None:
