@@ -6,12 +6,14 @@ index offset.  Zero-padded so that no offset wraps, it is the quadratic form
 the padded spectrum, so an energy takes one forward transform per distinct
 field and no inverse transform; the result agrees to rounding with the
 literal pair loop.  The offset kernel is even on every axis, so its spectrum
-is real: it is built on one octant of offsets, transformed once per grid
-shape, spacing and lambda, and a small cache keeps the last few spectra as
-real arrays with the half-spectrum weights and 1/M folded in.  The forward
-transform of a field skips the lines of the padded array that hold only
-zeros.  The singular self-cell is handled by the exact cell-cell integral
-(closed form in 1D, a fixed local product rule in 2D/3D).
+is real and even: it is built on one octant of offsets, transformed once per
+grid shape, spacing and lambda one axis at a time on the real bins that the
+later axes leave, and a small cache keeps the last few spectra as real arrays
+with the half-spectrum weights and 1/M folded in.  The forward transform of a
+field skips the lines of the padded array that hold only zeros.  The singular
+self-cell and its near neighbours take cell-cell averages: closed forms in
+1D, and in 2D/3D a Gauss-Legendre product rule folded by its mirror and
+axis-swap symmetries, which leave about a quarter of the 3D node pairs.
 """
 
 from __future__ import annotations
@@ -50,13 +52,20 @@ class EnergyResult:
             raise ValueError(f"est_kind must be one of {', '.join(EST_KINDS)}")
 
 
-@functools.lru_cache(maxsize=None)
+# Room for the fine and coarse kernels of a few (grid, lambda) pairs: one
+# 48^3 spectrum takes 3.6 MB, one of the 128 x 128 x 16 witness grid 9 MB.
+_SPECTRUM_CACHE_SIZE = 8
+# Room for the near-field constants of every lambda the spectrum cache can
+# hold: a 3D kernel takes ten, and its coarse grid shares them.
+_CELL_CACHE_SIZE = 10 * _SPECTRUM_CACHE_SIZE
+
+
+@functools.lru_cache(maxsize=_CELL_CACHE_SIZE)
 def _diag_cell_constant(dim: int, lam: float) -> float:
     """Unit-cell self-integral C = int_{[0,1]^N x [0,1]^N} |u-v|^(-lam).
 
-    Closed form in 1D; in higher dimensions a fixed Gauss-Legendre product
-    rule with different orders for u and v (so nodes never coincide on the
-    integrable diagonal singularity).
+    Closed form in 1D; in higher dimensions the Gauss-Legendre product rule
+    of ``_cell_pair_constant``.
     """
     if dim == 1:
         return 2.0 / ((1.0 - lam) * (2.0 - lam))
@@ -64,21 +73,52 @@ def _diag_cell_constant(dim: int, lam: float) -> float:
 
 
 @functools.lru_cache(maxsize=None)
+def _axis_pairs(offset: int, mult: int):
+    """Squared distances and weights of the product rule on ``mult`` axes of equal ``offset``.
+
+    One axis pairs 8 Gauss-Legendre nodes u_i with 9 nodes v_j, squared
+    distance ((u_i - v_j) / 2 + offset)^2 and weight w_i w_j / 4.  The nodes
+    are symmetric about 0, so at offset 0 the pair (i, j) and its mirror
+    (7 - i, 8 - j) agree, and the 36 pairs with i < 4 stand for the 72 at
+    double weight.
+    The axes of a group can be swapped, so only sorted index tuples are
+    kept, each weighted by its number of orderings, m! / (r + 1)! for r
+    equal neighbours (m = ``mult`` <= 3).  Both tables are flat, independent
+    of lambda and read-only.
+    """
+    xu, wu = np.polynomial.legendre.leggauss(8)
+    xv, wv = np.polynomial.legendre.leggauss(9)
+    d2 = ((0.5 * (xu[:, None] - xv[None, :]) + offset) ** 2).ravel()
+    w = np.multiply.outer(0.5 * wu, 0.5 * wv).ravel()
+    if offset == 0:
+        d2, w = d2[:36], 2.0 * w[:36]
+    idx = np.indices((d2.size,) * mult, dtype=np.int16).reshape(mult, -1)
+    idx = idx[:, np.all(idx[:-1] <= idx[1:], axis=0)]
+    ties = np.sum(idx[:-1] == idx[1:], axis=0)
+    orderings = np.array([math.factorial(mult) // math.factorial(r + 1) for r in range(mult)])[ties]
+    tables = (np.sum(d2[idx], axis=0), orderings * np.prod(w[idx], axis=0))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+@functools.lru_cache(maxsize=_CELL_CACHE_SIZE)
 def _cell_pair_constant(dim: int, lam: float, offset) -> float:
     """Average of |u - v + offset|^(-lam) over u, v in the unit cell.
 
     Gauss-Legendre product rule with different orders for u and v, so nodes
-    never coincide on the integrable singularity of touching cells.  The
-    squared distance is a sum over axes, so it is built from the 8 x 9
-    node-pair differences of each axis, broadcast to 72^N pairs.
+    never coincide on the integrable singularity of touching cells: 8 x 9
+    node pairs per axis, 72^N in all.  The squared distance is a sum over
+    axes, so the rule is folded by its exact symmetries: the axes of each
+    group of equal offsets take the folded tables of ``_axis_pairs``, whose
+    outer sum is raised to -lam/2 and contracted with one weight vector per
+    group.
     """
-    xu, wu = np.polynomial.legendre.leggauss(8)
-    xv, wv = np.polynomial.legendre.leggauss(9)
-    diff = 0.5 * (xu[:, None] - xv[None, :])
-    weight = np.multiply.outer(0.5 * wu, 0.5 * wv)
-    d2 = functools.reduce(np.add.outer, [(diff + o) ** 2 for o in offset])
-    w = functools.reduce(np.multiply.outer, [weight] * dim)
-    return float(np.sum(w * d2 ** (-lam / 2.0)))
+    tables = [_axis_pairs(o, offset.count(o)) for o in sorted(set(offset))]
+    val = functools.reduce(np.add.outer, [d2 for d2, _ in tables]) ** (-lam / 2.0)
+    for _, w in reversed(tables):
+        val = val @ w
+    return float(val)
 
 
 _NEAR_RADIUS = 2
@@ -139,11 +179,6 @@ def _reflected_kernel(shape, spacing: float, lo_n: float, lam: float) -> np.ndar
     return d2 ** (-lam / 2.0)
 
 
-# Room for the fine and coarse kernels of a few (grid, lambda) pairs: one
-# 48^3 spectrum takes 3.6 MB, one of the 128 x 128 x 16 witness grid 9 MB.
-_SPECTRUM_CACHE_SIZE = 8
-
-
 def _fast_shape(shape) -> tuple:
     """FFT length per axis at which a circular convolution of n values with
     2n - 1 kernel entries reproduces every offset i - j without wrapping."""
@@ -185,22 +220,29 @@ def kernel_spectrum(shape: tuple, spacing: float, lam: float, reflect_lo=None) -
     |x' - y', x_N + y_N|^(-lam) of a grid whose last axis starts at
     ``reflect_lo``.  The kernel entry for offset d = i - j sits at index
     d mod L, so the cell-averaged kernel, which is even on every axis, has a
-    real spectrum and is stored as a real array.  The rfftn bins carry the
+    real and even spectrum and is stored as a real array.  It is transformed
+    one axis at a time, the last first: each rfft keeps the L // 2 + 1 real
+    bins of its axis, the next axis transforms only those, and the earlier
+    axes are mirrored to full length at the end.  The rfftn bins carry the
     weights of ``_half_spectrum_weights`` and 1/M, M = prod(L), so that a
     sum over them is the normalised sum over the full spectrum.  The
     returned array is shared between callers and is read-only.
     """
     size = _fast_shape(shape)
     steps = [np.arange(length) for length in size]
+    weights = _half_spectrum_weights(size[-1]) / math.prod(size)
     if reflect_lo is None:
-        # Offset min(c, L - c) at index c; offsets of n and more read 0.
-        rows = [np.minimum(np.minimum(c, length - c), n) for c, length, n in zip(steps, size, shape)]
-        spec = sfft.rfftn(_gather(_octant_kernel(shape, spacing, lam), rows)).real
+        # Offset min(c, L - c) at index c; offsets of n and more read the
+        # appended zero.  Bin min(c, L - c) stands for bin c the same way.
+        mirror = [np.minimum(c, length - c) for c, length in zip(steps, size)]
+        spec = np.pad(_octant_kernel(shape, spacing, lam), [(0, 1)] * len(shape))
+        for axis in range(len(shape) - 1, -1, -1):
+            spec = sfft.rfft(np.take(spec, np.minimum(mirror[axis], shape[axis]), axis=axis), axis=axis).real
+        spec = (spec * weights)[np.ix_(*mirror[:-1])]
     else:
         # Window index d + n - 1 at index d mod L; indices of 2n - 1 and more read 0.
         rows = [np.minimum((c + n - 1) % length, 2 * n - 1) for c, length, n in zip(steps, size, shape)]
-        spec = sfft.rfftn(_gather(_reflected_kernel(shape, spacing, reflect_lo, lam), rows))
-    spec = spec * (_half_spectrum_weights(size[-1]) / math.prod(size))
+        spec = sfft.rfftn(_gather(_reflected_kernel(shape, spacing, reflect_lo, lam), rows)) * weights
     spec.flags.writeable = False
     return spec
 

@@ -1,9 +1,11 @@
 """Energy quadrature oracles: closed forms, scaling laws, the sharp constant."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 from scipy.signal import fftconvolve
 from scipy.special import gamma
 
@@ -261,8 +263,10 @@ def test_spectrum_cache_stays_bounded():
     f = gaussian_field(g, [0.0, 0.0], 0.8)
     for lam in np.linspace(0.2, 1.8, 12):
         energy_direct(f, f, KernelParams(dim=2, lam=float(lam)))
-    info = energy.kernel_spectrum.cache_info()
-    assert info.maxsize is not None and info.currsize <= info.maxsize
+    # The near-field constants are keyed by lambda too.
+    for cache in (energy.kernel_spectrum, energy._cell_pair_constant, energy._diag_cell_constant):
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
     with pytest.raises(ValueError):
         energy.kernel_spectrum((16, 16), g.spacing, 1.0)[0, 0] = 0.0
 
@@ -274,3 +278,33 @@ def test_separable_cell_pair_constant_matches_dense_rule(dim, lam):
         got = energy._cell_pair_constant(dim, lam, offset)
         want = _dense_cell_pair_constant(dim, lam, offset)
         assert abs(got - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("lam", [0.3, 1.0, 1.7, 1.95])
+def test_folded_cell_pair_constant_matches_dense_rule_on_every_near_offset(dim, lam):
+    # Every sorted offset the kernel asks for: all mirror and swap folds.
+    for offset in sorted({tuple(sorted(o)) for o in itertools.product(range(3), repeat=dim)}):
+        got = energy._cell_pair_constant(dim, lam, offset)
+        want = _dense_cell_pair_constant(dim, lam, offset)
+        assert abs(got - want) <= 1e-14 * want, offset
+
+
+def _rfftn_kernel_spectrum(shape, h, lam):
+    """The direct kernel spectrum as one rfftn of the kernel gathered at full length."""
+    size = energy._fast_shape(shape)
+    rows = [np.minimum(np.minimum(c, n_fft - c), n) for c, n_fft, n in zip(map(np.arange, size), size, shape)]
+    kern = np.pad(energy._octant_kernel(shape, h, lam), [(0, 1)] * len(shape))[np.ix_(*rows)]
+    return sfft.rfftn(kern).real * (energy._half_spectrum_weights(size[-1]) / math.prod(size))
+
+
+@pytest.mark.parametrize("shape", [(41,), (37,), (48,), (13, 9), (7, 6, 5), (41, 8), (24, 24, 24)])
+@pytest.mark.parametrize("lam", [0.4, 1.9])
+def test_separable_kernel_spectrum_matches_full_rfftn(shape, lam):
+    # Odd and even FFT lengths on every axis; 1-D takes the same single rfft.
+    got = energy.kernel_spectrum(shape, 0.3, lam)
+    want = _rfftn_kernel_spectrum(shape, 0.3, lam)
+    assert got.shape == want.shape
+    if len(shape) == 1:
+        assert np.array_equal(got, want)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
