@@ -412,7 +412,10 @@ def _cmd_symmetrize(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
     if (f0.values < 0).any():
         raise ConfigError("symmetrize needs a non-negative function")
     sym_cfg = SymmetrizationConfig(seed=cfg.seed)
-    trace = run_symmetrization(f0, kp, sym_cfg)
+    try:
+        trace = run_symmetrization(f0, kp, sym_cfg)
+    except ValueError as exc:  # a 1-D tail whose |f|^p has infinite mass
+        raise ConfigError(f"function: |f|^p: {exc}") from exc
     rep.add("n_steps", len(trace.steps))
     rep.add("converged", trace.converged)
     if trace.final_fit is not None:
@@ -435,7 +438,10 @@ def _cmd_hemiball(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
     center = [0.0] * cfg.dim
     if cfg.region is not None and "ball" in cfg.region:
         center = cfg.region["ball"].get("center", center)
-    radius = hemiball_radius(f, kp, center)
+    try:
+        radius = hemiball_radius(f, kp, center)
+    except ValueError as exc:  # a 1-D tail whose |f|^p has infinite mass
+        raise ConfigError(f"function: |f|^p: {exc}") from exc
     rep.add("radius", radius)
     if "expected" in cfg.tolerances:
         tol = cfg.tolerances.get("abs_tol", 1e-4)
@@ -461,7 +467,10 @@ def _cmd_lizhu_check(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
     scale = np.sqrt(fit.beta)
     offsets = np.linspace(-0.8 * scale, 0.8 * scale, 10)
     centers = [fit.center + off * np.eye(cfg.dim)[0] for off in offsets]
-    cv = check_mass_identity(v, centers)
+    try:
+        cv = check_mass_identity(v, centers)
+    except ValueError as exc:  # a 1-D tail of infinite mass
+        raise ConfigError(f"function: {exc}") from exc
     rep.add("mass_identity_cv", cv)
     deviation = check_pointwise_invariance(v, Ball(center=fit.center, radius=np.sqrt(fit.beta)))
     rep.add("pointwise_deviation", deviation)

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import beta as beta_fn, betainc, hyp2f1
 
 from .fields import ExtremizerSpec, Field, Grid
 from .geometry import Ball
@@ -99,34 +100,46 @@ def sub_offsets(dim: int, h: float) -> np.ndarray:
 def ball_coverage(grid: Grid, center, radius: float) -> np.ndarray:
     """Fraction of each cell inside the ball, shape = grid.shape.
 
-    Only cells whose center lies, per axis, within radius + half_diag of the
-    ball's center can be inside or on the shell; the rest stay 0, so the work
-    is the ball's bounding box, not the grid.  Distances are per-axis squares
-    summed in axis order, the same floats as the norm of the full point array.
-    Lengths are compared in units of the power of two just above the reach,
-    so that no square overflows or underflows for a huge or tiny ball; the
-    rescaling is exact, so the fractions are the same floats.  A scalar or
-    one-element center is spread over every axis.
+    Only cells whose center lies, per axis, within reach = radius + half_diag
+    of the ball's center can be inside or on the shell; the rest stay 0, so
+    the work is the ball's bounding box, not the grid.  Each axis's index
+    window comes from (c -+ reach - lo) / h, clamped to the grid in floats so
+    that a huge or infinite quotient is harmless, and widened by a slack that
+    covers its rounding; a slack cell lies beyond the reach and stays 0.
+    Distances are per-axis squares summed in axis order, the same floats as
+    the norm of the full point array.  Lengths are compared in units of the
+    power of two just above the reach, so that no square overflows or
+    underflows for a huge, tiny or infinite ball; the rescaling is exact, so
+    the fractions are the same floats.  A scalar or one-element center is spread
+    over every axis.
     """
     h = grid.spacing
-    center = np.broadcast_to(np.atleast_1d(np.asarray(center, dtype=float)), (grid.dim,))
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    if center.shape == (1,):
+        center = center.repeat(grid.dim)
+    elif center.shape != (grid.dim,):
+        raise ValueError(f"a ball centre of shape {center.shape} on a {grid.dim}-D grid")
+    center = center.tolist()
     radius = float(radius)
-    half_diag = float(0.5 * h * np.sqrt(grid.dim) + 0.5 * h / SUBSAMPLE)
+    half_diag = 0.5 * h * math.sqrt(grid.dim) + 0.5 * h / SUBSAMPLE
     reach = radius + half_diag
-    down = math.ldexp(1.0, -math.frexp(reach)[1])
+    down = math.ldexp(1.0, -math.frexp(min(reach, sys.float_info.max))[1])
     cov = np.zeros(grid.shape)
     box, xs, deltas = [], [], []
-    for k in range(grid.dim):
-        # x - c is nondecreasing in x, so the cells within reach form one index range.
-        x = grid.axis_centers(k)
-        delta = x - center[k]
-        i0 = np.searchsorted(delta, -reach, side="left")
-        i1 = np.searchsorted(delta, reach, side="right")
+    for k, c in enumerate(center):
+        lo, n = float(grid.lo[k]), grid.shape[k]
+        # Cell i is within reach when |lo + h (i + 1/2) - c| <= reach.  The
+        # slack is one cell plus a bound on the rounding of these sums, which
+        # passes a cell only once |c| / h nears 2^50.
+        slack = min(1.5 + (abs(c) + abs(reach) + abs(lo) + n * h) * 2.0**-50 / h, n)
+        i0 = int(min(max((c - reach - lo) / h - slack, 0.0), n))
+        i1 = int(min(max((c + reach - lo) / h + slack, 0.0), n))
         if i1 <= i0:
             return cov
+        x = lo + h * (np.arange(i0, i1) + 0.5)
         box.append(slice(i0, i1))
-        xs.append(x[i0:i1])
-        deltas.append(delta[i0:i1] * down)
+        xs.append(x)
+        deltas.append((x - c) * down)
     d = np.sqrt(sum(dk.reshape((-1,) + (1,) * (grid.dim - 1 - k)) ** 2 for k, dk in enumerate(deltas)))
     inbox = cov[tuple(box)]
     radius, half_diag, sub_h = radius * down, half_diag * down, h / SUBSAMPLE * down
@@ -192,25 +205,52 @@ def grid_mass(grid: Grid, density: np.ndarray, coverage=None) -> float:
     return float(np.sum(density * coverage)) * grid.cell_volume()
 
 
+def _tail_piece(beta: float, q: float, a: float, b: float) -> float:
+    """Integral of (beta + y^2)^(-q) over the piece a < y < b.
+
+    For q > 1/2 the mass beyond |y| = s on one side is the share
+    I_{beta / (beta + s^2)}(q - 1/2, 1/2) of the half mass
+    beta^(1/2 - q) B(1/2, q - 1/2) / 2, and each side of 0 is measured by
+    these complements, so a far piece is a difference of two small shares,
+    not of two numbers near the total.  For q <= 1/2 the mass of an
+    unbounded piece is infinite, and a bounded one is the difference of the
+    antiderivative y beta^(-q) 2F1(q, 1/2; 3/2; -y^2 / beta).
+    """
+    if q <= 0.5:
+        if math.isinf(a) or math.isinf(b):
+            raise ValueError(f"a 1-D tail (beta + y^2)^(-{q:g}) of power <= 1/2 has infinite mass")
+        return float(b * hyp2f1(q, 0.5, 1.5, -b * b / beta) - a * hyp2f1(q, 0.5, 1.5, -a * a / beta)) * beta**-q
+
+    def beyond(s: float) -> float:
+        return float(betainc(q - 0.5, 0.5, beta / (beta + s * s)))
+
+    if a >= 0.0:
+        share = beyond(a) - beyond(b)
+    elif b <= 0.0:
+        share = beyond(-b) - beyond(-a)
+    else:
+        share = 2.0 - beyond(-a) - beyond(b)
+    return 0.5 * beta ** (0.5 - q) * float(beta_fn(0.5, q - 0.5)) * share
+
+
 def tail_mass_1d(tail: ExtremizerSpec, grid: Grid, within=None) -> float:
-    """Mass of the analytic tail outside a 1D grid's bounding box.
+    """Mass of the analytic tail outside a 1D grid's bounding box, in closed form.
 
     ``within`` optionally restricts to an interval (a ball or half-space
-    trace on the line).  Only used for 1D closed-form comparisons.
+    trace on the line).  Every 1-D mass of a density with a tail adds this
+    (``density_mass``).  ValueError is raised for an unbounded piece of a
+    tail whose power is at most 1/2, where the mass is infinite.
     """
     if grid.dim != 1:
         raise ValueError("analytic tail mass correction is 1D only")
-    lo, hi = grid.lo[0], grid.hi[0]
-    pieces = [(-np.inf, lo), (hi, np.inf)]
+    lo, hi, c = float(grid.lo[0]), float(grid.hi[0]), float(tail.center[0])
     total = 0.0
-    for a, b in pieces:
+    for a, b in ((-math.inf, lo), (hi, math.inf)):
         if within is not None:
-            a, b = max(a, within[0]), min(b, within[1])
-        if a >= b:
-            continue
-        val, _ = quad(lambda x: tail(np.array([[x]]))[0], a, b)
-        total += val
-    return total
+            a, b = max(a, float(within[0])), min(b, float(within[1]))
+        if a < b and tail.alpha != 0:
+            total += _tail_piece(float(tail.beta), float(tail.power), a - c, b - c)
+    return float(tail.alpha) * total
 
 
 def density_mass(f: Field, region=None) -> float:
@@ -237,8 +277,10 @@ def density_mass(f: Field, region=None) -> float:
 def half_mass_radius(f: Field, a, total: float) -> float:
     """Radius r with mass total / 2 of the density f in the ball B_r(a).
 
-    The bracket starts at [0, h] and doubles its upper end; BracketingError
-    is raised past 64 times the grid's widest side.
+    The bracket starts at [0, span / 16], span the grid's widest side, so
+    the radii of a density that fills its grid are bracketed in a doubling
+    or two; it doubles its upper end, and BracketingError is raised past
+    64 spans.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
 
@@ -246,4 +288,4 @@ def half_mass_radius(f: Field, a, total: float) -> float:
         return density_mass(f, Ball(a, r)) - 0.5 * total
 
     span = float(np.max(f.grid.hi - f.grid.lo))
-    return bisect_increasing(excess, 0.0, f.grid.spacing, 1e-9 * total, max_hi=64.0 * span)
+    return bisect_increasing(excess, 0.0, span / 16.0, 1e-9 * total, max_hi=64.0 * span)

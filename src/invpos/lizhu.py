@@ -65,8 +65,7 @@ class Measure:
 
     @functools.cached_property
     def total_mass(self) -> float:
-        # Computed once: for a 1-D density with a tail it takes two quad
-        # integrals, and every hemi-ball search reads it.
+        # Computed once, since every hemi-ball search reads it.
         if self.points is not None:
             return float(self.weights.sum())
         return density_mass(self.density)

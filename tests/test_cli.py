@@ -380,6 +380,25 @@ def test_overflowing_grid_width_exits_two_with_its_message(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: grid.max - grid.min must be a finite number on every axis\n"
 
 
+@pytest.mark.parametrize(
+    "command, density",
+    [("hemiball", "|f|^p: a 1-D tail (beta + y^2)^(-0.266667)"), ("lizhu-check", "a 1-D tail (beta + y^2)^(-0.2)"), ("symmetrize", "|f|^p: a 1-D tail (beta + y^2)^(-0.266667)")],
+)
+def test_tail_of_infinite_mass_exits_two_with_its_message(tmp_path, capsys, command, density):
+    # (1 + x^2)^(-0.2) has infinite mass on the line; at lambda = 0.5 the
+    # |f|^p of hemiball and symmetrize has power 0.2 p = 0.267.
+    from invpos.fields import ExtremizerSpec, Field, box_grid, write_field_csv
+
+    g = box_grid([-8.0], [8.0], 16)
+    x = g.axis_centers(0)
+    tail = ExtremizerSpec(alpha=1.0, beta=1.0, center=np.array([0.0]), power=0.2)
+    write_field_csv(Field(g, (1.0 + x**2) ** (-0.2), tail=tail), tmp_path / "f.csv")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(_SMALL, command=command, function={"file": str(tmp_path / "f.csv")})))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: function: {density} of power <= 1/2 has infinite mass\n"
+
+
 def test_unread_tolerance_name_exits_two(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(_SMALL, tolerances={"rel_tl": 1e-9})))

@@ -5,8 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from invpos import coverage, positivity
+from invpos import coverage, lizhu, positivity
 from invpos.coverage import (
     SLACK,
     SUBSAMPLE,
@@ -15,6 +16,7 @@ from invpos.coverage import (
     bisect_increasing,
     box_coverage,
     grid_mass,
+    half_mass_radius,
     halfspace_coverage,
     sub_offsets,
     tail_mass_1d,
@@ -105,6 +107,19 @@ def test_ball_coverage_far_out_balls_raise_nothing(dim):
             assert not ball_coverage(g, np.full(dim, big), -1e300).any()
         assert not ball_coverage(g, mid, -1e300).any()
         assert np.all(ball_coverage(g, mid, 1e300) == 1.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_ball_coverage_window_of_an_overflowing_quotient_raises_nothing(dim):
+    # (c - reach - lo) / h or (c + reach - lo) / h overflows to -inf or inf.
+    g = _GRIDS[dim]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for big in (1e308, -1e308):
+            cov = ball_coverage(g, np.full(dim, big), 1e308)
+            assert np.all((cov >= 0.0) & (cov <= 1.0))
+            # An infinite ball covers every cell; its squares are scaled too.
+            assert np.all(ball_coverage(g, np.full(dim, big), math.inf) == 1.0)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -207,6 +222,55 @@ def test_tail_mass_within_window():
     assert abs(tail_mass_1d(tail, g, within=(-5.0, 30.0)) - expect) < 1e-10
     # Window inside the box has no tail contribution.
     assert tail_mass_1d(tail, g, within=(-5.0, 5.0)) == 0.0
+
+
+def _quad_tail(beta, q, c, a, b):
+    """Integral of (beta + (x - c)^2)^(-q) over (a, b) by adaptive quadrature, split at c."""
+    f = lambda x: (beta + (x - c) ** 2) ** (-q)
+    parts = [(a, min(b, c)), (max(a, c), b)]
+    return sum(quad(f, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0] for lo, hi in parts if lo < hi)
+
+
+@pytest.mark.parametrize("q", [0.55, 0.75, 1.0, 1.25, 1.5])
+@pytest.mark.parametrize("beta", [0.3, 1.0, 4.0])
+def test_tail_piece_closed_form_matches_quad(q, beta):
+    for c in (0.0, 1.3, -2.0):
+        pieces = (
+            (25.0, 31.0), (-1e3, -30.0), (40.0, math.inf), (-math.inf, -40.0),  # far
+            (c - 3.0, c + 2.5), (c - 0.1, c + 30.0),  # straddling the centre
+            (c, c + 4.0), (c + 0.5, math.inf), (-math.inf, c - 0.5), (-math.inf, c),  # one-sided
+            (-math.inf, math.inf),  # the whole line
+        )
+        for a, b in pieces:
+            got = coverage._tail_piece(beta, q, a - c, b - c)
+            want = _quad_tail(beta, q, c, a, b)
+            assert abs(got - want) <= 1e-11 * want, (c, a, b, got, want)
+
+
+def test_tail_mass_matches_quad_outside_the_grid():
+    # The grid [4, 6] puts the centre in the left tail, so that piece straddles it.
+    for g in (box_grid([-20.0], [20.0], 256), box_grid([4.0], [6.0], 16)):
+        for c in (0.0, 1.3, -2.0):
+            tail = ExtremizerSpec(alpha=2.5, beta=0.3, center=np.array([c]), power=0.75)
+            for within in (None, (-30.0, 25.0), (-math.inf, c), (c + 0.2, math.inf), (-3.0, 3.0)):
+                a, b = (-math.inf, math.inf) if within is None else within
+                pieces = [(a, min(b, g.lo[0])), (max(a, g.hi[0]), b)]
+                want = 2.5 * sum(_quad_tail(0.3, 0.75, c, lo, hi) for lo, hi in pieces if lo < hi)
+                assert abs(tail_mass_1d(tail, g, within=within) - want) <= 1e-11 * abs(want), (g.lo, c, within)
+
+
+def test_tail_of_power_at_most_half_has_infinite_mass():
+    g = box_grid([-20.0], [20.0], 256)
+    for q in (0.4, 0.5, 0.0, -1.0):
+        tail = ExtremizerSpec(alpha=1.0, beta=1.0, center=np.array([0.0]), power=q)
+        for within in (None, (-math.inf, -30.0), (25.0, math.inf)):
+            with pytest.raises(ValueError, match="infinite mass"):
+                tail_mass_1d(tail, g, within=within)
+        # A bounded piece still has a finite mass.
+        want = _quad_tail(1.0, q, 0.0, -50.0, -20.0) + _quad_tail(1.0, q, 0.0, 20.0, 30.0)
+        assert abs(tail_mass_1d(tail, g, within=(-50.0, 30.0)) - want) <= 1e-11 * want
+    # A zero tail has no mass.
+    assert tail_mass_1d(ExtremizerSpec(alpha=0.0, beta=1.0, center=np.array([0.0]), power=0.4), g) == 0.0
 
 
 def test_bracket_that_overflows_raises():
@@ -319,3 +383,28 @@ def test_mapping_ball_search_makes_few_mass_evaluations():
             c = (s * t - 1.0) / (s + t)
             assert abs(res.center[0] - c) < 5e-3 and abs(res.radius - math.hypot(1.0, c)) < 5e-3
             assert len(calls) < 600, (s, t, len(calls))
+
+
+def test_mass_identity_makes_few_mass_evaluations_per_search():
+    # The density of the hemiball-1d benchmark, at most 8 ball coverages per
+    # search on average; a bracket that started at one cell took 12-16, 7-9
+    # of them doubling it.
+    g = box_grid([-20.0], [20.0], 2048)
+    x = g.axis_centers(0)
+    tail = ExtremizerSpec(alpha=1.0, beta=1.0, center=np.array([0.0]), power=1.0)
+    density = Field(g, (1.0 + x**2) ** (-1.0), tail=tail)
+    calls, per_search = [], []
+
+    def search(*args):
+        start = len(calls)
+        r = half_mass_radius(*args)
+        per_search.append(len(calls) - start)
+        return r
+
+    centers = [np.array([a]) for a in np.linspace(-3.0, 3.0, 10)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coverage, "ball_coverage", lambda *a: calls.append(1) or ball_coverage(*a))
+        mp.setattr(lizhu, "half_mass_radius", search)
+        cv = lizhu.check_mass_identity(density, centers)
+    assert cv < 1e-3
+    assert len(per_search) == 10 and sum(per_search) <= 8 * 10, per_search
