@@ -155,8 +155,8 @@ def ball_coverage(grid: Grid, center, radius: float) -> np.ndarray:
             tab = ((x[:, None] + steps - center[k]) * down) ** 2
             terms.append(tab[i].reshape((-1,) + (1,) * k + (SUBSAMPLE,) + (1,) * (grid.dim - 1 - k)))
         dsub = np.sqrt(sum(terms)).reshape(len(terms[0]), -1)
-        ramp = np.clip((radius - dsub) / sub_h + 0.5, 0.0, 1.0)
-        inbox[shell] = ramp.mean(axis=1)
+        ramp = np.minimum(np.maximum((radius - dsub) / sub_h + 0.5, 0.0), 1.0)
+        inbox[shell] = ramp.sum(axis=1) / ramp.shape[1]
     return cov
 
 
@@ -181,8 +181,8 @@ def halfspace_coverage(grid: Grid, normal, offset: float) -> np.ndarray:
             tab = (x[:, None] + _sub_steps(h)) * normal[k]
             terms.append(tab[i].reshape((-1,) + (1,) * k + (SUBSAMPLE,) + (1,) * (grid.dim - 1 - k)))
         ssub = (sum(terms) - offset).reshape(len(terms[0]), -1)
-        ramp = np.clip(ssub / (h / SUBSAMPLE) + 0.5, 0.0, 1.0)
-        cov[slab] = ramp.mean(axis=1)
+        ramp = np.minimum(np.maximum(ssub / (h / SUBSAMPLE) + 0.5, 0.0), 1.0)
+        cov[slab] = ramp.sum(axis=1) / ramp.shape[1]
     return cov
 
 

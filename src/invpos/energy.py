@@ -201,13 +201,14 @@ def _half_spectrum_weights(length: int) -> np.ndarray:
 def _padded_spectrum(values: np.ndarray, size) -> np.ndarray:
     """rfftn of ``values`` zero-padded to ``size``, skipping the all-zero lines.
 
-    The values fill one corner of the padded array: the last axis is
-    transformed on the n_0 ... n_{N-2} lines that hold them, and each
-    earlier axis only on the lines that the later transforms filled.
+    The values fill one corner of the zero-filled half spectrum: the last
+    axis is transformed on the n_0 ... n_{N-2} lines that hold them, and each
+    earlier axis in place, only on the lines that the later transforms filled.
     """
-    spec = sfft.rfft(values, n=size[-1], axis=-1)
+    spec = np.zeros(tuple(size[:-1]) + (size[-1] // 2 + 1,), dtype=complex)
+    spec[tuple(slice(0, n) for n in values.shape[:-1])] = sfft.rfft(values, n=size[-1], axis=-1)
     for axis in range(values.ndim - 2, -1, -1):
-        spec = sfft.fft(spec, n=size[axis], axis=axis)
+        sfft.fft(spec[tuple(slice(0, n) for n in values.shape[:axis])], axis=axis, overwrite_x=True)
     return spec
 
 

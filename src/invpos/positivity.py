@@ -10,6 +10,7 @@ representation of I[Theta_H f, f], which is a weighted square.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -126,6 +127,14 @@ _GRADED_PANELS = 40
 _GRADING = 0.7
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre_rule() -> tuple:
+    """The Gauss-Legendre rule of every panel, built on first use and read-only."""
+    x, w = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _gauss_panels(edges: np.ndarray, power: float = 1.0):
     """Nodes x and weights for int x^(power - 1) q(x) dx with q smooth.
 
@@ -134,7 +143,7 @@ def _gauss_panels(edges: np.ndarray, power: float = 1.0):
     last axis of ``edges`` and the leading axes are kept, so a stack of panel
     sets (one per rho, say) gives a stack of rules.
     """
-    x, w = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    x, w = _legendre_rule()
     lo, hi = edges[..., :-1, None], edges[..., 1:, None]
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     shape = edges.shape[:-1] + (-1,)
@@ -182,20 +191,30 @@ def kernel_k(kp: KernelParams, xi_perp: float, t: float) -> float:
 def _cell_laplace(left: np.ndarray, values: np.ndarray, h: float, taus: np.ndarray) -> np.ndarray:
     """F(tau) = int e^(-tau |x|) f(x) dx for the piecewise-constant interpolant, exact.
 
-    Cell j covers [left_j, left_j + h] with value v_j and left_j > -h.  A
-    cell in x >= 0 gives v_j e^(-tau left_j) c(h) with c(w) = (1 - e^(-tau w)) / tau;
-    expm1 keeps c accurate when tau w is small.  A cell that straddles 0
-    is folded onto the half-line by the |x|, c(left_j + h) + c(-left_j), so
-    its mass is kept and its factor stays bounded.
+    Cell j covers [left_j, left_j + h] with value v_j, left_0 > -h and left_j =
+    left_0 + j h within 1e-9 h, else ValueError.  A cell in x >= 0 gives
+    v_j e^(-tau left_j) c(h), c(w) = -expm1(-tau w) / tau; a cell across 0 is folded
+    onto x >= 0 by the |x| as c(left_j + h) + c(-left_j), keeping its mass.  From the
+    first left_k = s >= 0 on, cell k + aB + b (B = ceil(sqrt(m)) for m cells) has
+    e^(-tau left) = P[tau, a] Q[tau, b] = e^(-tau (s + aBh)) e^(-tau bh), so the sum
+    is the row sum of P o (Q V^T), V[a, b] the zero-padded values: O(sqrt(m)) exponentials.
     """
+    n = len(left)
+    if n and np.max(np.abs(left - (left[0] + h * np.arange(n)))) > 1e-9 * h:
+        raise ValueError("cells must be consecutive, of width h")
 
     def c(widths) -> np.ndarray:
         return -np.expm1(-np.outer(taus, widths)) / taus[:, None]
 
-    full = c([h])
-    cut = left < 0
-    lap = np.exp(-np.outer(taus, np.maximum(left, 0.0))) @ values * full[:, 0]
-    return lap + (c(left[cut] + h) + c(-left[cut]) - full) @ values[cut]
+    k = np.count_nonzero(left < 0)
+    lap = (c(left[:k] + h) + c(-left[:k])) @ values[:k]
+    if n > k:
+        b = int(np.ceil(np.sqrt(n - k)))
+        v = np.pad(values[k:], (0, -(n - k) % b)).reshape(-1, b)
+        p = np.exp(-np.outer(taus, left[k] + h * b * np.arange(len(v))))
+        q = np.exp(-np.outer(taus, h * np.arange(b)))
+        lap = lap + np.sum(p * (q @ v.T), axis=1) * c([h])[:, 0]
+    return lap
 
 
 def _tau_quadrature(lam: float):

@@ -308,3 +308,15 @@ def test_separable_kernel_spectrum_matches_full_rfftn(shape, lam):
     if len(shape) == 1:
         assert np.array_equal(got, want)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("shape", [(41,), (13, 9), (96, 96), (7, 6, 5), (24, 24, 24), (32, 32, 4)])
+def test_padded_spectrum_is_bit_identical_to_padded_ffts(shape):
+    # The in-place corner transform against rfft, then fft(n=...) per axis.
+    values = np.random.default_rng(len(shape)).standard_normal(shape)
+    size = energy._fast_shape(shape)
+    want = sfft.rfft(values, n=size[-1], axis=-1)
+    for axis in range(len(shape) - 2, -1, -1):
+        want = sfft.fft(want, n=size[axis], axis=axis)
+    got = energy._padded_spectrum(values, size)
+    assert got.shape == want.shape and np.array_equal(got, want)

@@ -10,6 +10,7 @@ from invpos.geometry import Ball, HalfSpace
 from invpos.positivity import (
     SearchFailureError,
     _cell_laplace,
+    _legendre_rule,
     find_negative_defect,
     halfspace_representation,
     kernel_k,
@@ -172,6 +173,48 @@ def test_cell_laplace_folds_a_cell_that_straddles_zero():
     assert np.max(np.abs(got - expect) / expect) < 1e-9
     both = _cell_laplace(left, np.array([1.0, 2.0]), h, taus)
     assert np.allclose(both, expect + 2.0 * np.exp(-0.095 * taus) * -np.expm1(-h * taus) / taus, rtol=1e-12)
+
+
+def _cell_laplace_longdouble(left, values, h, taus):
+    """Per-cell long-double transform: (sum of the terms, sum of their moduli)."""
+    t = taus.astype(np.longdouble)[:, None]
+    lo = left.astype(np.longdouble)
+    pos = np.maximum(lo, 0)
+    # int over [max(lo, 0), lo + h] of e^(-t x), plus int over [lo, 0] of e^(t x).
+    cell = (np.exp(-t * pos) * -np.expm1(-t * (lo + np.longdouble(h) - pos)) - np.expm1(t * np.minimum(lo, 0))) / t
+    terms = cell * values.astype(np.longdouble)
+    return terms.sum(axis=1), np.abs(terms).sum(axis=1)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-17, reason="long double is no wider than double")
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 511, 512, 1025, 2048])
+@pytest.mark.parametrize("first", ["0", "-0.3h", "0.7", "5", "15"])
+def test_cell_laplace_matches_a_long_double_sum_over_cells(n, first):
+    # The blocked factorisation against every cell summed on its own.
+    h = 1.0 / 27.0
+    left0 = -0.3 * h if first == "-0.3h" else float(first)
+    left = left0 + h * np.arange(n)
+    values = np.random.default_rng(n).standard_normal(n)
+    taus = np.geomspace(1e-8, 1e4, 301)
+    got = _cell_laplace(left, values, h, taus)
+    want, scale = _cell_laplace_longdouble(left, values, h, taus)
+    seen = scale > 1e-250
+    assert seen.any()
+    assert np.max(np.abs(got[seen] - want[seen]) / scale[seen]) < 2e-13
+
+
+def test_cell_laplace_rejects_cells_that_are_not_consecutive():
+    taus = np.geomspace(1e-3, 1e3, 11)
+    with pytest.raises(ValueError, match="consecutive"):
+        _cell_laplace(np.array([0.0, 0.1, 0.3]), np.ones(3), 0.1, taus)
+    with pytest.raises(ValueError, match="consecutive"):
+        _cell_laplace(np.array([0.0, 0.1, 0.2]), np.ones(3), 0.2, taus)
+
+
+def test_cached_legendre_rule_is_read_only():
+    x, w = _legendre_rule()
+    assert _legendre_rule() is _legendre_rule() and len(x) == len(w) == 16
+    assert not x.flags.writeable and not w.flags.writeable
 
 
 def test_representation_closed_form_indicator_tight():
