@@ -291,12 +291,18 @@ class Report:
         self.lines.append(f"{tag} {name}: measured = {_fmt(measured)}, tolerance = {_fmt(tolerance)}")
 
     def write(self, out_dir: str) -> None:
+        # Each report is a new file: ext4 flushes a file truncated to zero on
+        # close (auto_da_alloc) and the next truncation waits for that write,
+        # so a loop of runs into one directory would stall for milliseconds.
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "report.csv"), "w") as fh:
-            fh.write(",".join(name for name, _ in self.columns) + "\n")
-            fh.write(",".join(_fmt(value) for _, value in self.columns) + "\n")
-        with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
-            fh.write("\n".join(self.lines) + "\n")
+        header = ",".join(name for name, _ in self.columns)
+        row = ",".join(_fmt(value) for _, value in self.columns)
+        for name, text in (("report.csv", f"{header}\n{row}\n"), ("summary.txt", "\n".join(self.lines) + "\n")):
+            path = os.path.join(out_dir, name)
+            if os.path.lexists(path):
+                os.remove(path)
+            with open(path, "w") as fh:
+                fh.write(text)
 
     @property
     def all_pass(self) -> bool:

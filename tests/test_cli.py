@@ -93,6 +93,20 @@ def test_energy_run_writes_reports(tmp_path):
                 assert rhs in numbers, line
 
 
+
+def test_run_replaces_old_reports_instead_of_truncating_them(tmp_path):
+    # A link to the old report keeps its text: the run wrote a new file.
+    cfg = parse_config(json.dumps({"command": "sharp-constant", "kernel": {"dim": 3, "lambda": 1.0}}))
+    assert run(cfg, str(tmp_path / "fresh")) == EXIT_PASS
+    old = "stale,report,with,more,columns\n" * 40
+    for name in ("report.csv", "summary.txt"):
+        (tmp_path / name).write_text(old)
+        os.link(tmp_path / name, tmp_path / f"old-{name}")
+    assert run(cfg, str(tmp_path)) == EXIT_PASS
+    for name in ("report.csv", "summary.txt"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+        assert (tmp_path / f"old-{name}").read_text() == old
+
 def test_sharp_constant_command(tmp_path):
     cfg = parse_config(json.dumps({"command": "sharp-constant", "kernel": {"dim": 3, "lambda": 1.0}}))
     assert run(cfg, str(tmp_path)) == EXIT_PASS
