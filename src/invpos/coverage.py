@@ -31,19 +31,27 @@ class BracketingError(RuntimeError):
 
 
 def bisect_increasing(
-    excess: Callable[[float], float], lo: float, hi: float, tol: float, max_hi: Optional[float] = None
+    excess: Callable[[float], float],
+    lo: float,
+    hi: float,
+    tol: float,
+    max_hi: Optional[float] = None,
+    f_lo: Optional[float] = None,
+    f_hi: Optional[float] = None,
 ) -> float:
     """Zero of an increasing function, such as a mass minus half the total mass.
 
-    hi is evaluated first.  With ``max_hi`` set, hi doubles until
-    excess(hi) >= 0, each failed hi becoming lo, and BracketingError is
-    raised once hi passes max_hi or overflows to inf (max_hi itself may be
-    inf for a huge grid); without it [lo, hi] is taken as a bracket.  The
-    given lo is never evaluated (it may be a degenerate end such as radius
-    0), so the steps halve the bracket until lo carries a value.  From then
-    on each step is a regula-falsi one on the two end values with the
-    Illinois rule (an end kept twice in a row has its value halved), so it
-    uses the mass, not just its sign.  The step point is pulled toward the
+    hi is evaluated first, unless the caller knows its value and passes it
+    as ``f_hi``.  With ``max_hi`` set, hi doubles until excess(hi) >= 0,
+    each failed hi becoming lo, and BracketingError is raised once hi passes
+    max_hi or overflows to inf (max_hi itself may be inf for a huge grid);
+    without it [lo, hi] is taken as a bracket.  The given lo is never
+    evaluated (it may be a degenerate end such as radius 0): its value is
+    ``f_lo`` when the caller knows it, and otherwise the steps halve the
+    bracket until lo carries a value.  From then on each step is a
+    regula-falsi one on the two end values with the Illinois rule (an end
+    kept twice in a row has its value halved), so it uses the mass, not
+    just its sign.  The step point is pulled toward the
     midpoint as far as needed to keep the bracket after k steps within
     2^(SLACK - k) of its starting width, so a step that shrinks the bracket
     too slowly is followed by halving, and any width is reached within
@@ -51,7 +59,8 @@ def bisect_increasing(
     when |excess| < tol or the bracket is narrower than 1e-14 max(1, |hi|).
     The half-mass searches pass tol = 1e-9 of the total mass.
     """
-    f_lo, f_hi = None, excess(hi)
+    if f_hi is None:
+        f_hi = excess(hi)
     if max_hi is not None:
         while f_hi < 0:
             lo, f_lo = hi, f_hi
@@ -288,4 +297,4 @@ def half_mass_radius(f: Field, a, total: float) -> float:
         return density_mass(f, Ball(a, r)) - 0.5 * total
 
     span = float(np.max(f.grid.hi - f.grid.lo))
-    return bisect_increasing(excess, 0.0, span / 16.0, 1e-9 * total, max_hi=64.0 * span)
+    return bisect_increasing(excess, 0.0, span / 16.0, 1e-9 * total, max_hi=64.0 * span, f_lo=-0.5 * total)

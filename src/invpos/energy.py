@@ -133,15 +133,22 @@ def _octant_kernel(shape, spacing: float, lam: float) -> np.ndarray:
     closed form; Gauss-Legendre products in 2D/3D) where the midpoint rule
     is badly biased by the convex singularity.  The kernel depends on the
     offsets through their absolute values only, so this octant holds it all.
+    The far formula depends on the integer |k|^2 alone: where the integers
+    up to the largest |k|^2 are fewer than the offsets (3D grids), it is
+    evaluated once per integer and gathered by |k|^2, the same floats as at
+    each offset.
     """
     dim = len(shape)
-    mesh = np.meshgrid(*[np.arange(n) for n in shape], indexing="ij")
-    k2 = sum(m * m for m in mesh).astype(float)
+    k2 = sum((np.arange(n) ** 2).reshape((-1,) + (1,) * (dim - 1 - axis)) for axis, n in enumerate(shape))
+    squares = int(k2.max()) + 1
+    x = np.arange(squares, dtype=float) if squares < k2.size else k2.astype(float)
     origin = (0,) * dim
-    k2[origin] = 1.0
-    kern = k2 ** (-lam / 2.0) + (lam * (lam + 2.0 - dim) / 12.0) * k2 ** (-(lam + 2.0) / 2.0)
+    x.flat[0] = 1.0
+    kern = x ** (-lam / 2.0) + (lam * (lam + 2.0 - dim) / 12.0) * x ** (-(lam + 2.0) / 2.0)
+    if squares < k2.size:
+        kern = kern[k2]
     if dim == 1:
-        k = mesh[0].astype(float)
+        k = np.arange(shape[0], dtype=float)
         near = (k >= 1) & (k <= _EXACT_1D_MAX)
         a = 2.0 - lam
         kn = k[near]

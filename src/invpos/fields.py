@@ -15,7 +15,7 @@ import numpy as np
 from scipy.ndimage import map_coordinates
 from scipy.optimize import least_squares
 
-from .geometry import Ball, HalfSpace, invert_point, reflect_point
+from .geometry import Ball, HalfSpace, inversion_factor, reflect_point
 
 
 @dataclass(frozen=True)
@@ -203,6 +203,38 @@ def lp_norm(f: Field, p: float) -> float:
     return float(np.sum(np.abs(f.values) ** p) ** (1.0 / p) * f.grid.cell_volume() ** (1.0 / p))
 
 
+def _axis_coords(g: Grid) -> list:
+    """The cell-centre coordinates of each axis, as open arrays that broadcast to g.shape."""
+    return [g.axis_centers(k).reshape((-1,) + (1,) * (g.dim - 1 - k)) for k in range(g.dim)]
+
+
+def _pull_back(f: Field, coords) -> np.ndarray:
+    """Multilinear interpolation of ``f`` at the points with axis-k coordinates ``coords[k]``.
+
+    The coordinate arrays broadcast to the shape of the result, so a map
+    that moves one axis passes the other axes as open arrays, and the in-box
+    mask and fractional indices are computed on those before they are
+    broadcast.  Outside the grid bounding box the analytic tail is used if
+    present, otherwise 0.
+    """
+    g = f.grid
+    lo, hi = g.lo, g.hi
+    shape = np.broadcast_shapes(*(c.shape for c in coords))
+    inside = np.ones(shape, dtype=bool)
+    for k, c in enumerate(coords):
+        inside &= (c >= lo[k]) & (c <= hi[k])
+    out = np.zeros(shape)
+    if f.tail is not None and not np.all(inside):
+        out[~inside] = f.tail(np.stack([np.broadcast_to(c, shape)[~inside] for c in coords], axis=-1))
+    if np.any(inside):
+        # Fractional indices relative to the cell centers; mode="nearest"
+        # holds the edge value in the half cell between the outermost centers
+        # and the box edge.
+        t = [np.broadcast_to((c - (lo[k] + 0.5 * g.spacing)) / g.spacing, shape)[inside] for k, c in enumerate(coords)]
+        out[inside] = map_coordinates(f.values, t, order=1, mode="nearest")
+    return out
+
+
 def eval_field(f: Field, pts) -> np.ndarray:
     """Multilinear interpolation of ``f`` at arbitrary points.
 
@@ -211,19 +243,14 @@ def eval_field(f: Field, pts) -> np.ndarray:
     """
     pts = np.asarray(pts, dtype=float)
     squeeze = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    g = f.grid
-    inside = np.all((pts >= g.lo) & (pts <= g.hi), axis=-1)
-    out = np.zeros(pts.shape[0])
-    if f.tail is not None and not np.all(inside):
-        out[~inside] = f.tail(pts[~inside])
-    if np.any(inside):
-        # Fractional indices relative to the cell centers; mode="nearest"
-        # holds the edge value in the half cell between the outermost centers
-        # and the box edge.
-        t = (pts[inside] - (g.lo + 0.5 * g.spacing)) / g.spacing
-        out[inside] = map_coordinates(f.values, t.T, order=1, mode="nearest")
+    out = _pull_back(f, np.atleast_2d(pts).T)
     return out[0] if squeeze else out
+
+
+def _center_deltas(b: Ball, g: Grid) -> tuple:
+    """(x_k - c_k of the cell centres as open arrays, their squared distances from c summed in axis order)."""
+    deltas = [x - c for x, c in zip(_axis_coords(g), np.broadcast_to(b.center, (g.dim,)))]
+    return deltas, sum(dk * dk for dk in deltas)
 
 
 def apply_inversion(b: Ball, f: Field, kp: KernelParams) -> Field:
@@ -231,16 +258,18 @@ def apply_inversion(b: Ball, f: Field, kp: KernelParams) -> Field:
 
     Samples inside the cell containing the center are masked to 0; their
     quadrature contribution vanishes under refinement since 2N - lambda < 2N.
+    Distances and mapped points are built from per-axis offsets of the cell
+    centres, summed in axis order: the floats of ``invert_point`` on the
+    point array.
     """
-    pts = f.grid.points()
-    d = np.linalg.norm(pts - b.center, axis=-1)
-    mask = d < 0.5 * f.grid.spacing
-    d_safe = np.where(mask, b.radius, d)
-    safe_pts = np.where(mask[:, None], pts + 2.0 * b.radius, pts)
-    mapped = invert_point(b, safe_pts)
-    weight = (b.radius / d_safe) ** kp.lift_power
-    vals = np.where(mask, 0.0, weight * eval_field(f, mapped))
-    return Field(f.grid, vals.reshape(f.grid.shape))
+    g = f.grid
+    deltas, dist2 = _center_deltas(b, g)
+    d = np.sqrt(dist2)
+    mask = d < 0.5 * g.spacing
+    scale = inversion_factor(b, np.where(mask, np.inf, dist2))
+    mapped = [c + scale * dk for c, dk in zip(np.broadcast_to(b.center, (g.dim,)), deltas)]
+    weight = (b.radius / np.where(mask, b.radius, d)) ** kp.lift_power
+    return Field(g, np.where(mask, 0.0, weight * _pull_back(f, mapped)))
 
 
 # A plane is taken to lie on a cell edge when it is within this many cells of
@@ -251,48 +280,70 @@ def apply_inversion(b: Ball, f: Field, kp: KernelParams) -> Field:
 _EDGE_TOL = 1e-9
 
 
-def _edge_mirror(h: HalfSpace, grid: Grid):
-    """(axis k, mirror index of each cell along k) when H maps the grid onto itself, else None.
-
-    That is when the normal is +-e_k and the plane lies on a cell edge e of
-    the box, its faces included: the mirror of cell j is then cell
-    2e - 1 - j.  Python floats carry a far-off plane to inf, not a warning.
-    """
+def _axis_normal(h: HalfSpace, grid: Grid):
+    """(axis k, sign) when the normal of H is +-e_k on the grid's axes, else None."""
     axes = np.flatnonzero(h.normal)
-    if len(axes) != 1 or abs(h.normal[axes[0]]) != 1.0:
+    if h.dim != grid.dim or len(axes) != 1 or abs(h.normal[axes[0]]) != 1.0:
         return None
-    k = int(axes[0])
+    return int(axes[0]), float(h.normal[axes[0]])
+
+
+def _edge_mirror(h: HalfSpace, grid: Grid, k: int):
+    """Mirror index of each cell along axis k when H, normal to axis k, maps the grid onto itself, else None.
+
+    That is when the plane lies on a cell edge e of the box, its faces
+    included: the mirror of cell j is then cell 2e - 1 - j.  Python floats
+    carry a far-off plane to inf, not a warning.
+    """
     edge = (float(h.normal[k]) * h.offset - float(grid.lo[k])) / float(grid.spacing)
     if not -_EDGE_TOL <= edge <= grid.shape[k] + _EDGE_TOL or abs(edge - round(edge)) > _EDGE_TOL:
         return None
-    return k, 2 * round(edge) - 1 - np.arange(grid.shape[k])
+    return 2 * round(edge) - 1 - np.arange(grid.shape[k])
 
 
 def apply_reflection(h: HalfSpace, f: Field) -> Field:
     """Lifted reflection f(Theta_H(x)) on f's grid.
 
-    A plane normal to an axis on a cell edge maps cell centres onto cell
+    A plane normal to an axis moves only that axis: x . n = +-x_k exactly,
+    so the reflected coordinates are the floats of ``reflect_point``, built
+    on that axis alone.  On a cell edge it maps cell centres onto cell
     centres, so the pullback is an index flip; a cell whose mirror leaves the
     grid takes the tail at its reflected point, or 0, as ``eval_field`` would.
     Every other plane interpolates.
     """
     g = f.grid
-    mirror = _edge_mirror(h, g)
-    if mirror is None:
+    axis = _axis_normal(h, g)
+    if axis is None:
         return Field(g, eval_field(f, reflect_point(h, g.points())).reshape(g.shape))
-    k, src = mirror
+    k, sign = axis
+    coords = _axis_coords(g)
+    coords[k] = coords[k] + 2.0 * (h.offset - sign * coords[k]) * sign
+    src = _edge_mirror(h, g, k)
+    if src is None:
+        return Field(g, _pull_back(f, coords))
     n = g.shape[k]
     vals = np.take(f.values, np.clip(src, 0, n - 1), axis=k)
-    outside = ((src < 0) | (src >= n)).reshape((1,) * k + (n,) + (1,) * (g.dim - 1 - k))
-    if outside.any():
-        cells = np.broadcast_to(outside, g.shape)
-        vals[cells] = 0.0 if f.tail is None else f.tail(reflect_point(h, g.points()[cells.ravel()]))
+    outside = np.flatnonzero((src < 0) | (src >= n))
+    if outside.size:
+        coords[k] = coords[k][outside]
+        vals[(slice(None),) * k + (outside,)] = _pull_back(f, coords)
     return Field(g, vals)
 
 
 def region_mask(region, grid: Grid) -> np.ndarray:
-    """Boolean mask of cell centers lying in the region, shape = grid.shape."""
-    return region.contains(grid.points()).reshape(grid.shape)
+    """Boolean mask of cell centers lying in the region, shape = grid.shape.
+
+    A ball and a half-space normal to an axis are decided on per-axis
+    arrays, with the floats of ``region.contains`` on the point array.
+    """
+    if isinstance(region, Ball):
+        return np.sqrt(_center_deltas(region, grid)[1]) < region.radius
+    axis = _axis_normal(region, grid) if isinstance(region, HalfSpace) else None
+    if axis is None:
+        return region.contains(grid.points()).reshape(grid.shape)
+    k, sign = axis
+    inside = sign * _axis_coords(grid)[k] > region.offset
+    return np.broadcast_to(inside, grid.shape).copy()
 
 
 def apply_region_map(region, f: Field, kp: KernelParams) -> Field:

@@ -97,13 +97,21 @@ def invert_point(b: Ball, x) -> np.ndarray:
     CENTER_CUTOFF * r of the center and an r^2 that overflows raise ValueError.
     """
     x = _as_points(x)
+    d = x - b.center
+    return b.center + inversion_factor(b, np.sum(d * d, axis=-1))[..., None] * d
+
+
+def inversion_factor(b: Ball, dist2) -> np.ndarray:
+    """r^2 / dist2, the factor by which inversion in ``b`` scales x - center.
+
+    ``dist2`` holds squared distances from the center.  An r^2 that
+    overflows and a distance below CENTER_CUTOFF * r raise ValueError.
+    """
     if not math.isfinite(float(b.radius) * float(b.radius)):
         raise ValueError(f"inversion radius {b.radius:.6g} squared overflows")
-    d = x - b.center
-    dist2 = np.sum(d * d, axis=-1)
     if np.any(dist2 < (CENTER_CUTOFF * b.radius) ** 2):
         raise ValueError("inversion undefined at the ball center")
-    return b.center + (b.radius**2 / dist2)[..., None] * d
+    return b.radius**2 / dist2
 
 
 def reflect_point(h: HalfSpace, x) -> np.ndarray:

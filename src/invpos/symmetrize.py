@@ -14,7 +14,7 @@ from typing import List, Optional
 import numpy as np
 
 from .coverage import BracketingError, bisect_increasing, density_mass, half_mass_radius
-from .energy import energy_direct
+from .energy import EnergyResult, energy_direct
 from .fields import Ball, ExtremizerSpec, Field, HalfSpace, KernelParams, fit_family, lp_norm, split_in_out
 from .geometry import unit_vector
 
@@ -54,8 +54,15 @@ def hemispace_offset(f: Field, kp: KernelParams, e) -> float:
         # Half the total minus the mass above t, which increases with t.
         return 0.5 * total - density_mass(dens, HalfSpace(e, t))
 
+    h = f.grid.spacing
     proj = f.grid.points() @ e
-    return bisect_increasing(excess, float(proj.min()) - f.grid.spacing, float(proj.max()) + f.grid.spacing, 1e-9 * total)
+    lo, hi = float(proj.min()) - h, float(proj.max()) + h
+    # Every cell centre lies at least h below the plane at hi, so no cell is
+    # covered there and the excess is exactly half the total, unless a 1-D
+    # tail puts mass beyond hi or the coordinates are so large against h
+    # that the rounding of a projection nears a tenth of a cell.
+    known = dens.tail is None and max(abs(lo), abs(hi)) < 2.0**40 * h
+    return bisect_increasing(excess, lo, hi, 1e-9 * total, f_hi=0.5 * total if known else None)
 
 
 @dataclass(frozen=True)
@@ -65,28 +72,37 @@ class StepRecord:
     quotient_after: float
     choice: str  # "i", "o", or "none"
     est_error: float
+    # Energy and squared p-norm of the field the step kept, for the next step.
+    energy: Optional[EnergyResult] = None
+    norm2: Optional[float] = None
 
 
-def symmetrization_step(f: Field, kp: KernelParams, region) -> tuple:
-    """Replace f by the better of the two splices against the region."""
+def symmetrization_step(
+    f: Field, kp: KernelParams, region, energy: Optional[EnergyResult] = None, norm2: Optional[float] = None
+) -> tuple:
+    """Replace f by the better of the two splices against the region.
+
+    ``energy`` (``energy_direct(f, f, kp)``) and ``norm2`` (the squared
+    p-norm of f) are computed unless the caller has them; the returned
+    record holds the same two numbers for the field the step keeps, so a
+    sequence of steps passes them on instead of evaluating them again.
+    """
     fi, fo, _, _ = split_in_out(region, f, kp)
-    e_f = energy_direct(f, f, kp)
+    e_f = energy_direct(f, f, kp) if energy is None else energy
     e_i = energy_direct(fi, fi, kp)
     e_o = energy_direct(fo, fo, kp)
-    n_f, n_i, n_o = (lp_norm(g, kp.p) ** 2 for g in (f, fi, fo))
+    n_f = lp_norm(f, kp.p) ** 2 if norm2 is None else norm2
+    n_i, n_o = (lp_norm(g, kp.p) ** 2 for g in (fi, fo))
     q_f = e_f.value / n_f
     # A splice with zero p-norm is not a candidate.
     q_i = e_i.value / n_i if n_i > 0 else -np.inf
     q_o = e_o.value / n_o if n_o > 0 else -np.inf
     est = (e_f.est_error + max(e_i.est_error, e_o.est_error)) / n_f
     if max(q_i, q_o) <= q_f:
-        rec = StepRecord(region, q_f, q_f, "none", est)
-        return f, rec
+        return f, StepRecord(region, q_f, q_f, "none", est, e_f, n_f)
     if q_i >= q_o:
-        rec = StepRecord(region, q_f, q_i, "i", est)
-        return fi, rec
-    rec = StepRecord(region, q_f, q_o, "o", est)
-    return fo, rec
+        return fi, StepRecord(region, q_f, q_i, "i", est, e_i, n_i)
+    return fo, StepRecord(region, q_f, q_o, "o", est, e_o, n_o)
 
 
 @dataclass(frozen=True)
@@ -162,6 +178,7 @@ def run_symmetrization(f0: Field, kp: KernelParams, config: Optional[Symmetrizat
     dim = f0.dim
     h = f0.grid.spacing
     last_q = None
+    energy = norm2 = None
     for _ in range(cfg.max_sweeps):
         regions = []
         if rng is None:
@@ -195,7 +212,8 @@ def run_symmetrization(f0: Field, kp: KernelParams, config: Optional[Symmetrizat
                 except BracketingError:
                     continue
                 region = Ball(param, r)
-            f, rec = symmetrization_step(f, kp, region)
+            f, rec = symmetrization_step(f, kp, region, energy, norm2)
+            energy, norm2 = rec.energy, rec.norm2
             trace.steps.append(rec)
             if sweep_start_q is None:
                 sweep_start_q = rec.quotient_before

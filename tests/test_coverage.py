@@ -355,6 +355,48 @@ def test_search_never_evaluates_lo(max_hi):
         assert abs(bisect_increasing(excess, 0.0, hi, 1e-12, max_hi=max_hi) - 0.25) < 1e-12
 
 
+@pytest.mark.parametrize("max_hi", [None, 1e3])
+def test_search_takes_known_end_values(max_hi):
+    seen = []
+
+    def excess(x):
+        seen.append(x)
+        return x - 0.3
+
+    plain = bisect_increasing(excess, 0.0, 1.0, 1e-12, max_hi=max_hi)
+    n_plain = len(seen)
+    # A known excess at hi is not evaluated again, and the search is the same.
+    seen.clear()
+    assert bisect_increasing(excess, 0.0, 1.0, 1e-12, max_hi=max_hi, f_hi=0.7) == plain
+    assert 1.0 not in seen and len(seen) == n_plain - 1
+    # A known excess at lo lets the first step be a regula-falsi one, which
+    # lands on the zero of a straight line.
+    seen.clear()
+    assert abs(bisect_increasing(excess, 0.0, 1.0, 1e-12, max_hi=max_hi, f_lo=-0.3) - 0.3) < 1e-12
+    assert len(seen) == 2
+
+
+def test_half_mass_radius_starts_from_the_empty_ball():
+    # The excess at radius 0 is minus half the total: the centred search on
+    # (1 + x^2)^(-1) steps by regula falsi at once instead of halving.
+    g = box_grid([-20.0], [20.0], 2048)
+    x = g.axis_centers(0)
+    dens = Field(g, (1.0 + x**2) ** -1.0, tail=ExtremizerSpec(alpha=1.0, beta=1.0, center=np.array([0.0]), power=1.0))
+    total = coverage.density_mass(dens)
+    radii = []
+    cover = coverage.ball_coverage
+
+    def counted(grid, center, radius):
+        radii.append(radius)
+        return cover(grid, center, radius)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coverage, "ball_coverage", counted)
+        r = half_mass_radius(dens, [0.0], total)
+    assert abs(r - 1.0) < 1e-4
+    assert len(radii) <= 8
+
+
 def test_search_stops_doubling_past_max_hi():
     seen = []
 

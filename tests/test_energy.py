@@ -290,6 +290,36 @@ def test_folded_cell_pair_constant_matches_dense_rule_on_every_near_offset(dim, 
         assert abs(got - want) <= 1e-14 * want, offset
 
 
+def _octant_kernel_at_every_offset(shape, spacing, lam):
+    """The octant kernel with its far formula evaluated on the meshgrid of offsets."""
+    dim = len(shape)
+    mesh = np.meshgrid(*[np.arange(n) for n in shape], indexing="ij")
+    k2 = sum(m * m for m in mesh).astype(float)
+    origin = (0,) * dim
+    k2[origin] = 1.0
+    kern = k2 ** (-lam / 2.0) + (lam * (lam + 2.0 - dim) / 12.0) * k2 ** (-(lam + 2.0) / 2.0)
+    if dim == 1:
+        k = mesh[0].astype(float)
+        near = (k >= 1) & (k <= energy._EXACT_1D_MAX)
+        a = 2.0 - lam
+        kn = k[near]
+        kern[near] = ((kn + 1.0) ** a - 2.0 * kn**a + (kn - 1.0) ** a) / ((1.0 - lam) * (2.0 - lam))
+    else:
+        for off in itertools.product(range(energy._NEAR_RADIUS + 1), repeat=dim):
+            if off != origin and all(o < n for o, n in zip(off, shape)):
+                kern[off] = energy._cell_pair_constant(dim, lam, tuple(sorted(off)))
+    kern[origin] = 0.0
+    return kern * spacing ** (-lam)
+
+
+@pytest.mark.parametrize("shape", [(1,), (5,), (100,), (2, 2), (7, 7), (24, 16), (2, 2, 2), (3, 3, 3), (12, 8, 5), (20, 20, 20)])
+@pytest.mark.parametrize("share", [0.1, 0.5, 0.9])
+def test_octant_kernel_by_squared_offset_matches_every_offset(shape, share):
+    lam = share * len(shape)
+    got = energy._octant_kernel(shape, 0.3, lam)
+    assert np.array_equal(got, _octant_kernel_at_every_offset(shape, 0.3, lam))
+
+
 def _rfftn_kernel_spectrum(shape, h, lam):
     """The direct kernel spectrum as one rfftn of the kernel gathered at full length."""
     size = energy._fast_shape(shape)

@@ -23,7 +23,7 @@ from invpos.fields import (
     read_field_csv,
     write_field_csv,
 )
-from invpos.geometry import Ball, HalfSpace, reflect_point
+from invpos.geometry import Ball, HalfSpace, invert_point, reflect_point
 
 
 def test_kernel_params_validation_and_exponent():
@@ -223,6 +223,103 @@ def test_inversion_pullback_preserves_p_norm():
     b = Ball(center=np.array([-3.0]), radius=1.0)
     tf = apply_inversion(b, f, kp)
     assert abs(lp_norm(tf, kp.p) - lp_norm(f, kp.p)) < 2e-3 * lp_norm(f, kp.p)
+
+
+def _inversion_on_points(b, f, kp):
+    """The lifted inversion evaluated on the (size, N) array of cell centres."""
+    pts = f.grid.points()
+    d = np.linalg.norm(pts - b.center, axis=-1)
+    mask = d < 0.5 * f.grid.spacing
+    safe_pts = np.where(mask[:, None], pts + 2.0 * b.radius, pts)
+    weight = (b.radius / np.where(mask, b.radius, d)) ** kp.lift_power
+    return np.where(mask, 0.0, weight * eval_field(f, invert_point(b, safe_pts))).reshape(f.grid.shape)
+
+
+def _flip_on_points(h, f, k, edge):
+    """The index flip across the cell edge ``edge`` of axis k, with the tail at reflected points off the grid."""
+    g = f.grid
+    n = g.shape[k]
+    src = 2 * edge - 1 - np.arange(n)
+    vals = np.take(f.values, np.clip(src, 0, n - 1), axis=k)
+    cells = np.broadcast_to(((src < 0) | (src >= n)).reshape((1,) * k + (n,) + (1,) * (g.dim - 1 - k)), g.shape)
+    if cells.any():
+        vals[cells] = 0.0 if f.tail is None else f.tail(reflect_point(h, g.points()[cells.ravel()]))
+    return vals
+
+
+def _mask_on_points(region, grid):
+    return region.contains(grid.points()).reshape(grid.shape)
+
+
+_PULLBACK_GRIDS = {1: ((-1.3,), (11,)), 2: ((-1.3, -0.7), (10, 7)), 3: ((-1.3, -0.7, 0.2), (8, 6, 5))}
+
+
+def _pullback_field(dim, with_tail):
+    lo, shape = _PULLBACK_GRIDS[dim]
+    g = Grid(lo=np.array(lo), spacing=0.3, shape=shape)
+    tail = ExtremizerSpec(alpha=0.7, beta=1.5, center=np.full(dim, 0.2), power=1.3) if with_tail else None
+    return Field(g, np.random.default_rng(dim).uniform(0.0, 1.0, size=shape), tail=tail)
+
+
+@pytest.mark.parametrize("with_tail", [False, True])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_per_axis_inversion_and_ball_mask_match_the_point_array(dim, with_tail):
+    f = _pullback_field(dim, with_tail)
+    g, kp = f.grid, KernelParams(dim=dim, lam=0.7 * dim)
+    cell = g.lo + g.spacing * (np.arange(dim) % 3 + 2.5)
+    centers = [
+        cell,  # on a cell centre: that cell is masked to 0
+        cell + 0.3 * g.spacing,  # inside a cell, off its centre
+        g.lo,  # a corner of the box
+        g.hi + 2.0,  # outside the box
+        g.lo - np.arange(1, dim + 1) * 5.0,
+    ]
+    for c in centers:
+        for r in (0.1, 0.4, 1.1, 3.0, 40.0):
+            b = Ball(c, r)
+            assert np.array_equal(apply_inversion(b, f, kp).values, _inversion_on_points(b, f, kp)), (c, r)
+            assert np.array_equal(fields.region_mask(b, g), _mask_on_points(b, g)), (c, r)
+
+
+@pytest.mark.parametrize("with_tail", [False, True])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_per_axis_reflection_and_plane_mask_match_the_point_array(dim, with_tail):
+    f = _pullback_field(dim, with_tail)
+    g = f.grid
+    for k, n in enumerate(g.shape):
+        for sign in (1.0, -1.0):
+            normal = np.zeros(dim)
+            normal[k] = sign
+            # Edges: box faces, their neighbours, an interior edge.
+            for e in (0, 1, n // 2, n - 1, n):
+                h = HalfSpace(normal, sign * (g.lo[k] + e * g.spacing))
+                assert np.array_equal(apply_reflection(h, f).values, _flip_on_points(h, f, k, e)), h
+                assert np.array_equal(fields.region_mask(h, g), _mask_on_points(h, g)), h
+            # Off the edges, inside the box and beyond it on either side.
+            for e in (0.37, n // 2 + 0.5, n - 0.2, -2.0, -1.6, n + 3.5, 2 * n + 0.5):
+                h = HalfSpace(normal, sign * (g.lo[k] + e * g.spacing))
+                assert np.array_equal(apply_reflection(h, f).values, _interpolated_reflection(h, f)), h
+                assert np.array_equal(fields.region_mask(h, g), _mask_on_points(h, g)), h
+
+
+def test_oblique_plane_mask_matches_the_point_array():
+    f = _pullback_field(3, True)
+    for normal in ([0.6, 0.8, 0.0], [0.0, -0.6, 0.8], [2.0 / 3, -1.0 / 3, 2.0 / 3]):
+        h = HalfSpace(np.array(normal), 0.1)
+        assert np.array_equal(fields.region_mask(h, f.grid), _mask_on_points(h, f.grid))
+        assert np.array_equal(apply_reflection(h, f).values, _interpolated_reflection(h, f))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_inversion_in_a_huge_ball_raises(dim):
+    # Cells within CENTER_CUTOFF r = 1 of the centre are not masked, and 1e300 squared overflows.
+    g = box_grid([-2.0] * dim, [2.0] * dim, 16)
+    f = Field(g, np.ones(g.shape))
+    kp = KernelParams(dim=dim, lam=0.5)
+    with pytest.raises(ValueError, match="undefined at the ball center"):
+        apply_inversion(Ball(np.zeros(dim), 1e14), f, kp)
+    with pytest.raises(ValueError, match="squared overflows"):
+        apply_inversion(Ball(np.zeros(dim), 1e300), f, kp)
 
 
 def test_apply_region_map_dispatches():

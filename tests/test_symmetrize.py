@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from invpos import coverage, symmetrize
 from invpos.coverage import box_coverage
-from invpos.energy import gaussian_field, rayleigh_quotient, sharp_constant
+from invpos.energy import energy_direct, gaussian_field, rayleigh_quotient, sharp_constant
 from invpos.fields import (
     Field,
+    Grid,
     KernelParams,
     box_grid,
     extremizer_spec,
+    lp_norm,
     make_extremizer,
 )
 from invpos.geometry import Ball, HalfSpace
@@ -161,3 +164,102 @@ def test_hemispace_offset_for_huge_and_tiny_normals():
     expect = hemispace_offset(f, kp, np.array([1.0, 1.0]))
     for scale in (1e300, 1e-300):
         assert hemispace_offset(f, kp, np.array([scale, scale])) == expect
+
+
+def test_step_returns_the_energy_and_norm_of_the_kept_field():
+    g = box_grid([-20.0], [20.0], 1024)
+    x = g.axis_centers(0)
+    f = Field(g, np.where(np.abs(x) <= 1.0, 1.0, 0.0))
+    for region in (HalfSpace(normal=np.array([1.0]), offset=0.3), Ball(center=np.array([0.1]), radius=0.8)):
+        kept, rec = symmetrization_step(f, KP, region)
+        assert rec.energy == energy_direct(kept, kept, KP)
+        assert rec.norm2 == lp_norm(kept, KP.p) ** 2
+        # Handing them over gives the same step.
+        again, rec2 = symmetrization_step(f, KP, region, energy_direct(f, f, KP), lp_norm(f, KP.p) ** 2)
+        assert np.array_equal(again.values, kept.values) and rec2 == rec
+
+
+def _region_params(region):
+    if isinstance(region, Ball):
+        return ("ball", region.center.tolist(), region.radius)
+    return ("space", region.normal.tolist(), region.offset)
+
+
+def test_run_symmetrization_carries_each_kept_energy_into_the_next_step(monkeypatch):
+    kp = KernelParams(dim=2, lam=1.0)
+    g = box_grid([-4.0, -4.0], [4.0, 4.0], 24)
+    f0 = Field(g, box_coverage(g, [-1.0, -0.5], [0.6, 1.2]).reshape(g.shape))
+    cfg = SymmetrizationConfig(max_sweeps=2, tol_stop=0.0)
+    calls = []
+    original = symmetrize.energy_direct
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(symmetrize, "energy_direct", counted)
+    carried = run_symmetrization(f0, kp, cfg)
+    assert len(carried.steps) == 14
+    assert len(calls) == 2 * len(carried.steps) + 1
+    # The same run by the three-argument step, which evaluates f afresh each time.
+    step = symmetrize.symmetrization_step
+    monkeypatch.setattr(symmetrize, "symmetrization_step", lambda f, kp, region, *known: step(f, kp, region))
+    fresh = run_symmetrization(f0, kp, cfg)
+    assert len(calls) == 2 * len(carried.steps) + 1 + 3 * len(fresh.steps)
+    assert len(fresh.steps) == len(carried.steps)
+    for a, b in zip(carried.steps, fresh.steps):
+        assert _region_params(a.region) == _region_params(b.region)
+        assert (a.quotient_before, a.quotient_after, a.choice, a.est_error) == (
+            b.quotient_before,
+            b.quotient_after,
+            b.choice,
+            b.est_error,
+        )
+        assert (a.energy, a.norm2) == (b.energy, b.norm2)
+    assert {s.choice for s in carried.steps} >= {"none"} and len({s.choice for s in carried.steps}) > 1
+    assert np.array_equal(carried.final_field.values, fresh.final_field.values)
+    assert carried.final_fit.fit_error == fresh.final_fit.fit_error
+
+
+def test_hemispace_offset_does_not_weigh_its_empty_end(monkeypatch):
+    # Without a 1-D tail the excess at the upper end is half the total mass,
+    # so the search starts from it; the offset is the same as when it weighs it.
+    calls, known_ends = [], []
+    cover = coverage.halfspace_coverage
+    original = symmetrize.bisect_increasing
+
+    def counted(*args):
+        calls.append(1)
+        return cover(*args)
+
+    def recording(*args, f_hi=None, **kwargs):
+        known_ends.append(f_hi)
+        return original(*args, f_hi=f_hi, **kwargs)
+
+    def weighing(*args, f_hi=None, **kwargs):
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(coverage, "halfspace_coverage", counted)
+    monkeypatch.setattr(symmetrize, "bisect_increasing", recording)
+    kp = KernelParams(dim=2, lam=1.0)
+    g = box_grid([-4.0, -4.0], [4.0, 4.0], 32)
+    f2 = make_extremizer(extremizer_spec(kp, center=np.array([0.3, -0.5])), kp, g)
+    # Coordinates of 1e17 cells, where cell centres round together and the
+    # plane at the upper end can cut cells: that end is weighed.
+    far = Field(Grid(lo=np.array([1e10, -1e10]), spacing=1e-7, shape=(8, 8)), np.ones((8, 8)))
+    cases = (
+        (f2, kp, [1.0, 0.0], True),
+        (f2, kp, [0.6, -0.8], True),
+        (far, kp, [0.6, -0.8], False),
+        (_extremizer_field(center=0.7), KP, [1.0], False),
+    )
+    for f, k, e, knows in cases:
+        calls.clear()
+        offset = hemispace_offset(f, k, np.array(e))
+        n_known = len(calls)
+        assert (known_ends.pop() is not None) == knows
+        with monkeypatch.context() as mp:
+            mp.setattr(symmetrize, "bisect_increasing", weighing)
+            calls.clear()
+            assert hemispace_offset(f, k, np.array(e)) == offset
+        assert len(calls) == n_known + knows
