@@ -10,6 +10,7 @@ with ``density_mass`` and find centred half-mass radii with
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -100,10 +101,30 @@ def _sub_steps(h: float) -> np.ndarray:
     return (np.arange(SUBSAMPLE) - (SUBSAMPLE - 1) / 2.0) * (h / SUBSAMPLE)
 
 
+@functools.lru_cache(maxsize=64)
+def _sub_steps_list(h: float) -> tuple:
+    """``_sub_steps(h)`` as Python floats, built once per spacing."""
+    return tuple(_sub_steps(h).tolist())
+
+
 def sub_offsets(dim: int, h: float) -> np.ndarray:
     """Offsets of the SUBSAMPLE^dim subsample points from a cell center."""
     combos = list(itertools.product(_sub_steps(h), repeat=dim))
     return np.asarray(combos)
+
+
+def _window(c: float, reach: float, lo: float, n: int, h: float) -> tuple:
+    """(i0, i1, slack): the cells i0 <= i < i1 of an axis whose centres may lie within reach of c.
+
+    Cell i is within reach when |lo + h (i + 1/2) - c| <= reach.  The slack
+    is one cell plus a bound on the rounding of these sums, which passes a
+    cell only once |c| / h nears 2^50.  The quotients are clamped to [0, n]
+    in floats, so that a huge or infinite one is harmless.
+    """
+    slack = min(1.5 + (abs(c) + abs(reach) + abs(lo) + n * h) * 2.0**-50 / h, n)
+    i0 = int(min(max((c - reach - lo) / h - slack, 0.0), n))
+    i1 = int(min(max((c + reach - lo) / h + slack, 0.0), n))
+    return i0, i1, slack
 
 
 def ball_coverage(grid: Grid, center, radius: float) -> np.ndarray:
@@ -120,7 +141,8 @@ def ball_coverage(grid: Grid, center, radius: float) -> np.ndarray:
     power of two just above the reach, so that no square overflows or
     underflows for a huge, tiny or infinite ball; the rescaling is exact, so
     the fractions are the same floats.  A scalar or one-element center is spread
-    over every axis.
+    over every axis.  A 1-D grid takes ``_ball_coverage_1d``, which gives the
+    same floats.
     """
     h = grid.spacing
     center = np.atleast_1d(np.asarray(center, dtype=float))
@@ -133,16 +155,15 @@ def ball_coverage(grid: Grid, center, radius: float) -> np.ndarray:
     half_diag = 0.5 * h * math.sqrt(grid.dim) + 0.5 * h / SUBSAMPLE
     reach = radius + half_diag
     down = math.ldexp(1.0, -math.frexp(min(reach, sys.float_info.max))[1])
+    # A subsample step that underflows to 0 (h below 2^-1072 of the reach)
+    # is left to the array body, which divides by it the way it always has.
+    if grid.dim == 1 and h / SUBSAMPLE * down > 0.0:
+        return _ball_coverage_1d(grid, center[0], radius, half_diag, reach, down)
     cov = np.zeros(grid.shape)
     box, xs, deltas = [], [], []
     for k, c in enumerate(center):
         lo, n = float(grid.lo[k]), grid.shape[k]
-        # Cell i is within reach when |lo + h (i + 1/2) - c| <= reach.  The
-        # slack is one cell plus a bound on the rounding of these sums, which
-        # passes a cell only once |c| / h nears 2^50.
-        slack = min(1.5 + (abs(c) + abs(reach) + abs(lo) + n * h) * 2.0**-50 / h, n)
-        i0 = int(min(max((c - reach - lo) / h - slack, 0.0), n))
-        i1 = int(min(max((c + reach - lo) / h + slack, 0.0), n))
+        i0, i1, _ = _window(c, reach, lo, n, h)
         if i1 <= i0:
             return cov
         x = lo + h * (np.arange(i0, i1) + 0.5)
@@ -166,6 +187,46 @@ def ball_coverage(grid: Grid, center, radius: float) -> np.ndarray:
         dsub = np.sqrt(sum(terms)).reshape(len(terms[0]), -1)
         ramp = np.minimum(np.maximum((radius - dsub) / sub_h + 0.5, 0.0), 1.0)
         inbox[shell] = ramp.sum(axis=1) / ramp.shape[1]
+    return cov
+
+
+def _ball_coverage_1d(grid: Grid, c: float, radius: float, half_diag: float, reach: float, down: float) -> np.ndarray:
+    """``ball_coverage`` on a 1-D grid by index arithmetic, with the same floats.
+
+    Of the reach window, the cells whose centres lie within
+    radius - half_diag - h of c, by more than the window's slack, are
+    certainly inside and are set to 1 with one slice; the bounds are clamped
+    to the window in floats before they are rounded to indices.  Only the
+    few other cells, at the two ends of the window, are classified one by
+    one, with the expressions of the array body on Python floats: the
+    distance sqrt(t t) of t = (x - c) down, inside when it is at most
+    radius - half_diag, and on the shell the subsample ramps summed in order,
+    ((r0 + r1) + r2) / 3, as numpy sums a row of three.
+    """
+    h, lo, n = grid.spacing, float(grid.lo[0]), grid.shape[0]
+    cov = np.zeros(n)
+    i0, i1, slack = _window(c, reach, lo, n, h)
+    if i1 <= i0:
+        return cov
+    inner = radius - half_diag - h
+    j0 = math.ceil(min(max((c - inner - lo) / h + slack, i0), i1))
+    j1 = math.floor(min(max((c + inner - lo) / h - slack + 1.0, j0), i1))
+    cov[j0:j1] = 1.0
+    radius, half_diag, sub_h = radius * down, half_diag * down, h / SUBSAMPLE * down
+    inside, steps = radius - half_diag, _sub_steps_list(h)
+    for i in itertools.chain(range(i0, j0), range(j1, i1)):
+        x = lo + h * (i + 0.5)
+        t = (x - c) * down
+        d = math.sqrt(t * t)
+        if d <= inside:
+            cov[i] = 1.0
+        elif abs(d - radius) < half_diag:
+            ramps = []
+            for step in steps:
+                u = (x + step - c) * down
+                ramps.append(min(max((radius - math.sqrt(u * u)) / sub_h + 0.5, 0.0), 1.0))
+            r0, r1, r2 = ramps
+            cov[i] = ((r0 + r1) + r2) / SUBSAMPLE
     return cov
 
 

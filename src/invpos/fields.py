@@ -8,6 +8,7 @@ when a conformal map sends sample points outside the grid's bounding box.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -87,9 +88,12 @@ class Grid:
         """The shape as it is reported, e.g. "128x128x16"."""
         return "x".join(str(n) for n in self.shape)
 
-    @property
+    @functools.cached_property
     def hi(self) -> np.ndarray:
-        return self.lo + self.spacing * np.asarray(self.shape)
+        """The upper corner, built once per grid: the mass searches read it at every evaluation."""
+        hi = self.lo + self.spacing * np.asarray(self.shape)
+        hi.setflags(write=False)
+        return hi
 
     def axis_centers(self, axis: int) -> np.ndarray:
         n = self.shape[axis]
@@ -248,23 +252,24 @@ def eval_field(f: Field, pts) -> np.ndarray:
 
 
 def _center_deltas(b: Ball, g: Grid) -> tuple:
-    """(x_k - c_k of the cell centres as open arrays, their squared distances from c summed in axis order)."""
+    """(x_k - c_k of the cell centres as open arrays, their squared distances from c summed in axis order, the distances)."""
     deltas = [x - c for x, c in zip(_axis_coords(g), np.broadcast_to(b.center, (g.dim,)))]
-    return deltas, sum(dk * dk for dk in deltas)
+    dist2 = sum(dk * dk for dk in deltas)
+    return deltas, dist2, np.sqrt(dist2)
 
 
-def apply_inversion(b: Ball, f: Field, kp: KernelParams) -> Field:
+def apply_inversion(b: Ball, f: Field, kp: KernelParams, centred=None) -> Field:
     """Lifted inversion (r/|x-a|)^(2N-lambda) f(Theta_B(x)) on f's grid.
 
     Samples inside the cell containing the center are masked to 0; their
     quadrature contribution vanishes under refinement since 2N - lambda < 2N.
     Distances and mapped points are built from per-axis offsets of the cell
     centres, summed in axis order: the floats of ``invert_point`` on the
-    point array.
+    point array.  ``centred`` is ``_center_deltas(b, f.grid)`` when the
+    caller has it.
     """
     g = f.grid
-    deltas, dist2 = _center_deltas(b, g)
-    d = np.sqrt(dist2)
+    deltas, dist2, d = _center_deltas(b, g) if centred is None else centred
     mask = d < 0.5 * g.spacing
     scale = inversion_factor(b, np.where(mask, np.inf, dist2))
     mapped = [c + scale * dk for c, dk in zip(np.broadcast_to(b.center, (g.dim,)), deltas)]
@@ -337,7 +342,7 @@ def region_mask(region, grid: Grid) -> np.ndarray:
     arrays, with the floats of ``region.contains`` on the point array.
     """
     if isinstance(region, Ball):
-        return np.sqrt(_center_deltas(region, grid)[1]) < region.radius
+        return _center_deltas(region, grid)[2] < region.radius
     axis = _axis_normal(region, grid) if isinstance(region, HalfSpace) else None
     if axis is None:
         return region.contains(grid.points()).reshape(grid.shape)
@@ -346,9 +351,10 @@ def region_mask(region, grid: Grid) -> np.ndarray:
     return np.broadcast_to(inside, grid.shape).copy()
 
 
-def apply_region_map(region, f: Field, kp: KernelParams) -> Field:
+def apply_region_map(region, f: Field, kp: KernelParams, centred=None) -> Field:
+    """Theta f for a Ball (``centred`` as in ``apply_inversion``) or a HalfSpace."""
     if isinstance(region, Ball):
-        return apply_inversion(region, f, kp)
+        return apply_inversion(region, f, kp, centred)
     if isinstance(region, HalfSpace):
         return apply_reflection(region, f)
     raise TypeError(f"unsupported region type {type(region)!r}")
@@ -360,10 +366,16 @@ def split_in_out(region, f: Field, kp: KernelParams) -> tuple:
     f^i keeps f inside the region and the lifted image outside; f^o is the
     complement; ``inside`` is the boolean mask of cell centers in the region.
     The splices preserve the p-norm only when the region bisects the |f|^p
-    mass.
+    mass.  A ball's cell-centre distances are built once, for the map and
+    the mask.
     """
-    theta_f = apply_region_map(region, f, kp)
-    inside = region_mask(region, f.grid)
+    if isinstance(region, Ball):
+        centred = _center_deltas(region, f.grid)
+        theta_f = apply_region_map(region, f, kp, centred)
+        inside = centred[2] < region.radius
+    else:
+        theta_f = apply_region_map(region, f, kp)
+        inside = region_mask(region, f.grid)
     fi = Field(f.grid, np.where(inside, f.values, theta_f.values))
     fo = Field(f.grid, np.where(inside, theta_f.values, f.values))
     return fi, fo, theta_f, inside

@@ -23,7 +23,9 @@ def _as_points(x) -> np.ndarray:
         x = x[None]
     if not (1 <= x.shape[-1] <= MAX_DIM):
         raise ValueError(f"points must have 1 to {MAX_DIM} coordinates, got {x.shape[-1]}")
-    if not np.all(np.isfinite(x)):
+    # A single point of at most MAX_DIM coordinates is checked with scalar
+    # calls: regions are built at every step of the half-mass searches.
+    if not (all(map(math.isfinite, x.tolist())) if x.ndim == 1 else np.all(np.isfinite(x))):
         raise ValueError("points must have finite coordinates")
     return x
 
@@ -54,7 +56,7 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _as_points(self.center).reshape(-1))
-        if not (self.radius > 0 and np.isfinite(self.radius)):
+        if not (self.radius > 0 and math.isfinite(self.radius)):
             raise ValueError("ball radius must be positive and finite")
 
     @property
@@ -75,9 +77,13 @@ class HalfSpace:
 
     def __post_init__(self):
         n = _as_points(self.normal).reshape(-1)
-        norm = np.linalg.norm(n)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"normal must be a unit vector, |n| = {norm}")
+        # The plain sum of squares differs from the norm below by a few ulps,
+        # so a normal it puts well inside the tolerance is a unit vector; any
+        # other takes np.linalg.norm, which decides and is reported.
+        if not abs(math.sqrt(sum(v * v for v in n.tolist())) - 1.0) <= 0.99e-12:
+            norm = np.linalg.norm(n)
+            if abs(norm - 1.0) > 1e-12:
+                raise ValueError(f"normal must be a unit vector, |n| = {norm}")
         object.__setattr__(self, "normal", n)
         object.__setattr__(self, "offset", float(self.offset))
 

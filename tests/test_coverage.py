@@ -21,7 +21,7 @@ from invpos.coverage import (
     sub_offsets,
     tail_mass_1d,
 )
-from invpos.fields import ExtremizerSpec, Field, KernelParams, box_grid
+from invpos.fields import ExtremizerSpec, Field, Grid, KernelParams, box_grid
 from invpos.geometry import unit_vector
 from invpos.lizhu import Measure, solve_mapping_ball
 
@@ -86,6 +86,45 @@ def test_ball_coverage_matches_the_full_grid_formula(dim):
     balls += [(0.5, 0.4 * span), ([0.5], 0.4 * span), (-0.25, 3.0 * h)]
     for c, r in balls:
         assert np.array_equal(ball_coverage(g, c, r), _full_grid_ball_coverage(g, c, r)), (c, r)
+    if dim == 1:
+        # The 1-D path, on more grids than the one above.
+        for g, c, r in _one_d_balls(np.random.default_rng(16), 5000):
+            assert np.array_equal(ball_coverage(g, c, r), _full_grid_ball_coverage(g, c, r)), (g.lo, g.spacing, g.shape, c, r)
+
+
+def _one_d_balls(rng, count):
+    """(grid, centre, radius) of random 1-D balls on grids of 1, 2, 3 and 2048 cells.
+
+    Spacings run from 2^-20 to 2^20, the left edge and the centre reach
+    2^56 cells from 0, where cell centres round to several cells, and the
+    centre lies on the grid, on a cell centre or edge, or off the grid on
+    either side.  Radii are 0, below h/3, below the half diagonal, negative,
+    past the grid, a multiple of h/2 or random.
+    """
+    for _ in range(count):
+        n = int(rng.choice([1, 2, 3, 2048]))
+        h = float(2.0 ** rng.uniform(-20.0, 20.0))
+        far = [0.0, rng.uniform(-1.0, 1.0) * 2.0**45, rng.choice([-1.0, 1.0]) * 2.0 ** rng.uniform(45.0, 56.0)]
+        lo = h * float(far[int(rng.integers(3))] - rng.uniform(0.0, n))
+        g = Grid(np.array([lo]), h, (n,))
+        half_diag = 0.5 * h + 0.5 * h / SUBSAMPLE
+        r = [
+            0.0,
+            rng.uniform(0.0, h / SUBSAMPLE),
+            rng.uniform(0.0, half_diag),
+            -rng.uniform(0.0, 3.0 * n * h),
+            rng.uniform(n * h, 3.0 * n * h),
+            0.5 * h * int(rng.integers(0, 12)),
+            rng.uniform(0.0, n * h),
+        ][int(rng.integers(7))]
+        c = [
+            lo + 0.5 * h * int(rng.integers(-4, 2 * n + 5)),
+            lo + n * h * rng.uniform(-1.0, 0.0),
+            lo + n * h * rng.uniform(1.0, 2.0),
+            rng.uniform(-1.0, 1.0) * 2.0 ** rng.uniform(0.0, 56.0) * h,
+            lo + n * h * rng.uniform(0.0, 1.0),
+        ][int(rng.integers(5))]
+        yield g, float(c), float(r)
 
 
 def test_ball_coverage_rejects_a_centre_of_the_wrong_length():

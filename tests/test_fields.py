@@ -281,6 +281,26 @@ def test_per_axis_inversion_and_ball_mask_match_the_point_array(dim, with_tail):
             assert np.array_equal(fields.region_mask(b, g), _mask_on_points(b, g)), (c, r)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_ball_splices_share_the_distances_of_map_and_mask(dim, monkeypatch):
+    f = _pullback_field(dim, True)
+    g, kp = f.grid, KernelParams(dim=dim, lam=0.7 * dim)
+    calls = []
+    region_map = fields.apply_region_map
+    monkeypatch.setattr(fields, "apply_region_map", lambda *a: calls.append(1) or region_map(*a))
+    for c in (g.lo + g.spacing * 2.3, g.hi + 2.0):
+        for r in (0.4, 1.1, 40.0):
+            b = Ball(c, r)
+            fi, fo, theta_f, inside = fields.split_in_out(b, f, kp)
+            theta = _inversion_on_points(b, f, kp)
+            mask = _mask_on_points(b, g)
+            assert np.array_equal(theta_f.values, theta) and np.array_equal(inside, mask), (c, r)
+            assert np.array_equal(fi.values, np.where(mask, f.values, theta))
+            assert np.array_equal(fo.values, np.where(mask, theta, f.values))
+    # Every splice still pulls back through apply_region_map.
+    assert len(calls) == 6
+
+
 @pytest.mark.parametrize("with_tail", [False, True])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_per_axis_reflection_and_plane_mask_match_the_point_array(dim, with_tail):

@@ -1,5 +1,7 @@
 """Point-level conformal maps: inversions, reflections, the Cayley map."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,54 @@ def test_region_contains():
 def test_ball_validation():
     with pytest.raises(ValueError):
         Ball(center=np.zeros(2), radius=-1.0)
+
+
+@pytest.mark.parametrize(
+    "center, message",
+    [
+        ([np.nan], "finite coordinates"),
+        ([0.0, np.inf], "finite coordinates"),
+        ([1.0, 2.0, -np.inf], "finite coordinates"),
+        (np.zeros(4), "1 to 3 coordinates, got 4"),
+        (np.zeros(0), "1 to 3 coordinates, got 0"),
+    ],
+)
+def test_region_rejects_a_bad_point(center, message):
+    with pytest.raises(ValueError, match=message):
+        Ball(center=center, radius=1.0)
+    with pytest.raises(ValueError, match=message):
+        HalfSpace(normal=center, offset=0.0)
+
+
+@pytest.mark.parametrize("radius", [0.0, -0.0, -1.0, -np.inf, np.inf, np.nan])
+def test_ball_rejects_a_radius_that_is_not_positive_and_finite(radius):
+    with pytest.raises(ValueError, match="ball radius must be positive and finite"):
+        Ball(center=np.zeros(2), radius=radius)
+
+
+def test_regions_store_the_given_floats():
+    b = Ball(center=[0.1, -0.2, 0.3], radius=0.7)
+    assert b.center.dtype == float and np.array_equal(b.center, [0.1, -0.2, 0.3]) and b.radius == 0.7
+    assert np.array_equal(Ball(center=2.5, radius=1.0).center, [2.5])
+    n = unit_vector([1.0, 2.0, 3.0])
+    h = HalfSpace(normal=n, offset=1)
+    assert np.array_equal(h.normal, n) and h.offset == 1.0 and isinstance(h.offset, float)
+
+
+def test_halfspace_rejects_a_normal_that_is_not_a_unit_vector():
+    for normal, norm in (([2.0, 0.0], 2.0), ([0.6, 0.6, 0.6], np.linalg.norm([0.6, 0.6, 0.6]))):
+        with pytest.raises(ValueError, match=rf"^normal must be a unit vector, \|n\| = {re.escape(str(norm))}$"):
+            HalfSpace(normal=np.array(normal), offset=0.0)
+    # The tolerance is 1e-12 in |n|, decided by np.linalg.norm on both sides of it.
+    HalfSpace(normal=np.array([1.0 + 0.995e-12]), offset=0.0)
+    HalfSpace(normal=np.array([0.0, -(1.0 - 0.995e-12)]), offset=0.0)
+    for bad in (1.0 + 1.005e-12, 1.0 - 1.005e-12):
+        with pytest.raises(ValueError, match="unit vector"):
+            HalfSpace(normal=np.array([bad]), offset=0.0)
+    rng = np.random.default_rng(5)
+    for dim in (1, 2, 3):
+        for _ in range(200):
+            HalfSpace(normal=unit_vector(rng.normal(size=dim)), offset=0.0)
 
 
 def test_unit_vector_is_v_over_its_norm_at_every_scale():
