@@ -2,8 +2,8 @@
 
 Submodules: geometry (balls, half-spaces, conformal maps), fields (grids,
 sampled functions, lifted transforms), coverage (cell-overlap quadrature,
-region masses and the centred half-mass search), energy (direct/radial
-energies, sharp constant), positivity (defects, representation oracle,
+region masses and the centred half-mass search), energy (direct Riesz
+energy, sharp constant), positivity (defects, representation oracle,
 counterexamples), symmetrize (iterative inversion symmetrization), lizhu
 (hemi-balls and invariant measures), cli (batch front-end).
 
@@ -14,7 +14,7 @@ thread counts before any numerical library loads.
 import importlib
 
 _EXPORTS = {
-    "geometry": ["Ball", "HalfSpace", "invert_point", "reflect_point", "cayley_point", "cayley_singular_point"],
+    "geometry": ["Ball", "HalfSpace", "invert_point", "reflect_point"],
     "fields": [
         "KernelParams",
         "Grid",
@@ -48,7 +48,6 @@ _EXPORTS = {
     "energy": [
         "EnergyResult",
         "energy_direct",
-        "energy_radial",
         "riesz_potential",
         "sharp_constant",
         "rayleigh_quotient",
@@ -59,7 +58,6 @@ _EXPORTS = {
         "SearchFailureError",
         "PositivityReport",
         "positivity_defect",
-        "kernel_k",
         "halfspace_representation",
         "reflected_energy",
         "NewtonZeroResult",
@@ -80,9 +78,7 @@ _EXPORTS = {
     ],
     "lizhu": [
         "Measure",
-        "Box",
         "HemiBallResult",
-        "pushforward_mass",
         "hemiball_on_ray",
         "solve_mapping_ball",
         "check_pointwise_invariance",
@@ -90,8 +86,6 @@ _EXPORTS = {
         "check_radial_derivative",
         "InvariantDensityFit",
         "fit_invariant_density",
-        "RadialDecreasingReport",
-        "check_radial_decreasing",
     ],
 }
 

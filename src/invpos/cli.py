@@ -86,11 +86,11 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
-def _per_axis(value, dim: int, name: str, cast=float) -> list:
+def _per_axis(value, dim: int, name: str) -> list:
     if _is_number(value):
-        return [cast(value)] * dim
+        return [float(value)] * dim
     if isinstance(value, list) and len(value) == dim and all(_is_number(v) for v in value):
-        return [cast(v) for v in value]
+        return [float(v) for v in value]
     raise ConfigError(f"{name} must be a number or a list of {dim} numbers")
 
 
@@ -125,15 +125,18 @@ def parse_config(text: str) -> RunConfig:
     _check_keys(grid, {"min", "max", "points"}, "grid")
     grid_min = _per_axis(grid.get("min", -8.0), dim, "grid.min")
     grid_max = _per_axis(grid.get("max", 8.0), dim, "grid.max")
-    points = _per_axis(grid.get("points", 128), dim, "grid.points", cast=int)
+    points = _per_axis(grid.get("points", 128), dim, "grid.points")
     for lo, hi in zip(grid_min, grid_max):
         if not lo < hi:
             raise ConfigError("grid.min must be strictly below grid.max on every axis")
         if not math.isfinite(hi - lo):
             raise ConfigError("grid.max - grid.min must be a finite number on every axis")
     for n in points:
+        if n != int(n):
+            raise ConfigError(f"grid.points must be whole numbers, got {n:g}")
         if not 8 <= n <= 4096:
             raise ConfigError("grid.points must lie in [8, 4096]")
+    points = [int(n) for n in points]
 
     function = doc.get("function")
     if function is not None:

@@ -156,7 +156,7 @@ def ball_coverage(grid: Grid, center, radius: float) -> np.ndarray:
     reach = radius + half_diag
     down = math.ldexp(1.0, -math.frexp(min(reach, sys.float_info.max))[1])
     # A subsample step that underflows to 0 (h below 2^-1072 of the reach)
-    # is left to the array body, which divides by it the way it always has.
+    # is left to the array body, which takes the ramp's limit, a step.
     if grid.dim == 1 and h / SUBSAMPLE * down > 0.0:
         return _ball_coverage_1d(grid, center[0], radius, half_diag, reach, down)
     cov = np.zeros(grid.shape)
@@ -184,8 +184,14 @@ def ball_coverage(grid: Grid, center, radius: float) -> np.ndarray:
         for k, (x, i) in enumerate(zip(xs, np.nonzero(shell))):
             tab = ((x[:, None] + steps - center[k]) * down) ** 2
             terms.append(tab[i].reshape((-1,) + (1,) * k + (SUBSAMPLE,) + (1,) * (grid.dim - 1 - k)))
-        dsub = np.sqrt(sum(terms)).reshape(len(terms[0]), -1)
-        ramp = np.minimum(np.maximum((radius - dsub) / sub_h + 0.5, 0.0), 1.0)
+        gap = radius - np.sqrt(sum(terms)).reshape(len(terms[0]), -1)
+        if sub_h > 0.0:
+            ramp = np.minimum(np.maximum(gap / sub_h + 0.5, 0.0), 1.0)
+        else:
+            # The ramp's limit as sub_h underflows to 0: a step, 0.5 at
+            # exactly the radius (where every subsample of a shell cell
+            # then lies) instead of 0 / 0.
+            ramp = 0.5 + 0.5 * np.sign(gap)
         inbox[shell] = ramp.sum(axis=1) / ramp.shape[1]
     return cov
 

@@ -331,52 +331,6 @@ def riesz_potential(f: Field, kp: KernelParams) -> np.ndarray:
     return pot
 
 
-def _radial_kernel(r, s, kp: KernelParams):
-    """Angular average of |x-y|^(-lam) times both surface measures, r != s."""
-    lam = kp.lam
-    if kp.dim == 1:
-        return 2.0 * (np.abs(r - s) ** (-lam) + (r + s) ** (-lam))
-    if kp.dim == 3:
-        if abs(lam - 2.0) < 1e-12:
-            avg = np.log((r + s) / np.abs(r - s)) / (2.0 * r * s)
-        else:
-            avg = ((r + s) ** (2.0 - lam) - np.abs(r - s) ** (2.0 - lam)) / ((2.0 - lam) * 2.0 * r * s)
-        return (4.0 * np.pi) ** 2 * r**2 * s**2 * avg
-    raise ValueError("radial reduction implemented for N = 1 and N = 3 only")
-
-
-def _radial_pair_sum(fr: Field, gr: Field, kp: KernelParams) -> float:
-    rv, dr = fr.grid.axis_centers(0), fr.grid.spacing
-    rr, ss = np.meshgrid(rv, rv, indexing="ij")
-    mat = np.zeros_like(rr)
-    off = ~np.eye(len(rv), dtype=bool)
-    mat[off] = _radial_kernel(rr[off], ss[off], kp)
-    xu, wu = np.polynomial.legendre.leggauss(5)
-    xv, wv = np.polynomial.legendre.leggauss(6)
-    for i, r0 in enumerate(rv):
-        ru = r0 + 0.5 * dr * xu
-        su = r0 + 0.5 * dr * xv
-        kr = _radial_kernel(ru[:, None], su[None, :], kp)
-        cell = 0.25 * wu @ kr @ wv  # mean over the cell
-        mat[i, i] = cell
-    return float(fr.values @ mat @ gr.values) * dr * dr
-
-
-def energy_radial(fr: Field, gr: Field, kp: KernelParams) -> EnergyResult:
-    """I_lambda for radial fields given as 1D profiles on [0, R).
-
-    Profiles are Fields on a one-dimensional grid starting at 0; exact
-    angular averaging reduces the energy to a double radial integral.
-    """
-    if kp.dim not in (1, 3):
-        raise ValueError("energy_radial supports N = 1 and N = 3")
-    if fr.dim != 1 or gr.dim != 1 or fr.grid != gr.grid:
-        raise ValueError("profiles must share a one-dimensional radial grid")
-    if abs(fr.grid.lo[0]) > 1e-12:
-        raise ValueError("radial grid must start at r = 0")
-    return richardson("radial", lambda a, b: _radial_pair_sum(a, b, kp), fr, gr)
-
-
 def sharp_constant(kp: KernelParams) -> float:
     """Best constant in the diagonal-case inequality, via gamma functions."""
     n, lam = kp.dim, kp.lam

@@ -1,4 +1,4 @@
-"""Balls, half-spaces and the three conformal point maps.
+"""Balls, half-spaces and the two conformal point maps.
 
 Points are plain numpy arrays of length N (N = 1, 2 or 3).  All maps are
 involutions and act on single points or on stacked arrays of shape (..., N).
@@ -125,29 +125,3 @@ def reflect_point(h: HalfSpace, x) -> np.ndarray:
     x = _as_points(x)
     return x + 2.0 * (h.offset - x @ h.normal)[..., None] * h.normal
 
-
-def cayley_point(x) -> np.ndarray:
-    """Involutive conformal map exchanging the unit ball and {x_N > 0}.
-
-    x |-> (2 x' / |x - e|^2, (1 - |x|^2) / |x - e|^2) with e = (0,...,0,-1).
-    For N = 1 this reduces to x |-> (1 - x) / (1 + x).  Undefined at e.
-    """
-    x = _as_points(x)
-    n = x.shape[-1]
-    e = np.zeros(n)
-    e[-1] = -1.0
-    d = x - e
-    dist2 = np.sum(d * d, axis=-1)
-    if np.any(dist2 < CENTER_CUTOFF**2):
-        raise ValueError("cayley map undefined at (0,...,0,-1)")
-    out = np.empty_like(x)
-    if n > 1:
-        out[..., :-1] = 2.0 * x[..., :-1] / dist2[..., None]
-    out[..., -1] = (1.0 - np.sum(x * x, axis=-1)) / dist2
-    return out
-
-
-def cayley_singular_point(dim: int) -> np.ndarray:
-    e = np.zeros(dim)
-    e[-1] = -1.0
-    return e

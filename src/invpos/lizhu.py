@@ -1,121 +1,45 @@
 """Hemi-balls of measures and the characterization of inversion-invariant ones.
 
-A Measure is a weighted point cloud or a non-negative grid density.  The
-module constructs hemi-balls on rays, solves for balls mapping one axis
-point to another, and runs the five numerical checks whose joint success is
-the signature of the invariant family alpha (beta + |x - y|^2)^(-N).
+A Measure is a non-negative grid density.  The module constructs hemi-balls
+on rays, solves for balls mapping one axis point to another, and runs the
+four numerical checks whose joint success is the signature of the invariant
+family alpha (beta + |x - y|^2)^(-N).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import List, Optional
 
 import numpy as np
 
-from .coverage import BracketingError, bisect_increasing, density_mass, half_mass_radius, sub_offsets
+from .coverage import BracketingError, bisect_increasing, density_mass, half_mass_radius
 from .fields import Ball, ExtremizerSpec, Field, HalfSpace, eval_field, fit_family
-from .geometry import invert_point, reflect_point, unit_vector
-
-
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned Borel box query primitive."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", np.atleast_1d(np.asarray(self.lo, dtype=float)))
-        object.__setattr__(self, "hi", np.atleast_1d(np.asarray(self.hi, dtype=float)))
-
-    def contains(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        return np.all((pts >= self.lo) & (pts <= self.hi), axis=-1)
+from .geometry import invert_point, unit_vector
 
 
 @dataclass(frozen=True)
 class Measure:
-    """Finite non-negative measure: point cloud or grid density (not both)."""
+    """Finite non-negative measure given by a grid density."""
 
-    points: Optional[np.ndarray] = None
-    weights: Optional[np.ndarray] = None
-    density: Optional[Field] = None
+    density: Field
 
     def __post_init__(self):
-        if (self.density is None) == (self.points is None):
-            raise ValueError("measure needs either a point cloud or a density")
-        if self.points is not None:
-            pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-            w = np.asarray(self.weights, dtype=float)
-            if len(w) != len(pts) or np.any(w < 0):
-                raise ValueError("weights must be non-negative, one per point")
-            object.__setattr__(self, "points", pts)
-            object.__setattr__(self, "weights", w)
-        else:
-            if np.any(self.density.values < 0):
-                raise ValueError("density must be non-negative")
+        if np.any(self.density.values < 0):
+            raise ValueError("density must be non-negative")
         if not self.total_mass > 0:
             raise ValueError("measure must have positive total mass")
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1] if self.points is not None else self.density.dim
 
     @functools.cached_property
     def total_mass(self) -> float:
         # Computed once, since every hemi-ball search reads it.
-        if self.points is not None:
-            return float(self.weights.sum())
         return density_mass(self.density)
 
     def mass_in_ball(self, ball: Ball) -> float:
-        if self.points is not None:
-            d = np.linalg.norm(self.points - ball.center, axis=-1)
-            inside = d < ball.radius - 1e-12 * ball.radius
-            on_sphere = np.abs(d - ball.radius) <= 1e-12 * ball.radius
-            # Boundary atoms split evenly between ball and complement.
-            return float(self.weights[inside].sum() + 0.5 * self.weights[on_sphere].sum())
         return density_mass(self.density, ball)
 
     def mass_in_halfspace(self, hs: HalfSpace) -> float:
-        if self.points is not None:
-            s = self.points @ hs.normal - hs.offset
-            return float(self.weights[s > 1e-12].sum() + 0.5 * self.weights[np.abs(s) <= 1e-12].sum())
         return density_mass(self.density, hs)
-
-
-def pushforward_mass(m: Measure, region, target) -> float:
-    """mu(Theta^-1(target)) for Theta the inversion/reflection of the region.
-
-    Point clouds are mapped directly (atoms at an inversion center are
-    rejected); densities are integrated over the preimage with a 3^N
-    subsample on every cell.
-    """
-    if isinstance(region, Ball):
-        themap = lambda pts: invert_point(region, pts)
-        if m.points is not None:
-            d = np.linalg.norm(m.points - region.center, axis=-1)
-            if np.any((d < 1e-14 * region.radius) & (m.weights > 0)):
-                raise ValueError("cloud carries mass at the inversion center")
-    elif isinstance(region, HalfSpace):
-        themap = lambda pts: reflect_point(region, pts)
-    else:
-        raise TypeError("region must be a Ball or HalfSpace")
-    if m.points is not None:
-        mapped = themap(m.points)
-        return float(m.weights[target.contains(mapped)].sum())
-    f = m.density
-    g = f.grid
-    pts = g.points()
-    offs = sub_offsets(g.dim, g.spacing)
-    acc = np.zeros(len(pts))
-    for off in offs:
-        mapped = themap(pts + off)
-        acc += target.contains(mapped)
-    frac = acc / len(offs)
-    return float(np.sum(f.values.ravel() * frac)) * g.cell_volume()
 
 
 @dataclass(frozen=True)
@@ -298,44 +222,3 @@ def fit_invariant_density(v: Field) -> InvariantDensityFit:
     model = ExtremizerSpec(alpha, beta, center, n)(pts)
     err = float(np.sum(np.abs(model - vals)) / np.sum(np.abs(vals)))
     return InvariantDensityFit(alpha=alpha, beta=beta, center=center, fit_error=err, mass_divergence=diverges)
-
-
-@dataclass(frozen=True)
-class RadialDecreasingReport:
-    max_radial_violation: float
-    max_monotonicity_violation: float
-
-
-# Sampled ball pairs per radial-decreasing check.
-_RADIAL_SAMPLES = 12
-
-
-def check_radial_decreasing(m: Measure, seed: int = 0) -> RadialDecreasingReport:
-    """Sampled radiality and ray-monotonicity checks on ball masses.
-
-    Radiality compares congruent balls at equal center distance from the
-    origin; monotonicity compares balls along a ray separated by the
-    t - r > t' + r condition.  Violations are reported relative to the total
-    mass.
-    """
-    rng = np.random.default_rng(seed)
-    total = m.total_mass
-    dim = m.dim
-    rad_viol = 0.0
-    mono_viol = 0.0
-    for _ in range(_RADIAL_SAMPLES):
-        dist = rng.uniform(0.3, 2.0)
-        r = rng.uniform(0.1, 0.5) * dist
-        e1 = unit_vector(rng.normal(size=dim))
-        e2 = unit_vector(rng.normal(size=dim))
-        m1 = m.mass_in_ball(Ball(center=dist * e1, radius=r))
-        m2 = m.mass_in_ball(Ball(center=dist * e2, radius=r))
-        rad_viol = max(rad_viol, abs(m1 - m2) / total)
-        # Monotone pair along e1: outer ball should carry no more mass.
-        t_in = rng.uniform(0.2, 1.0)
-        rr = rng.uniform(0.05, 0.3)
-        t_out = t_in + 2.0 * rr + rng.uniform(0.2, 1.5)
-        m_in = m.mass_in_ball(Ball(center=t_in * e1, radius=rr))
-        m_out = m.mass_in_ball(Ball(center=t_out * e1, radius=rr))
-        mono_viol = max(mono_viol, (m_out - m_in) / total)
-    return RadialDecreasingReport(max_radial_violation=rad_viol, max_monotonicity_violation=max(mono_viol, 0.0))

@@ -117,7 +117,7 @@ def _standardize_1d(g: Field, region: HalfSpace) -> Field:
     return Field(new_grid, values)
 
 
-# --- the kernel of the quadratic form J and the representation formula ---
+# --- the representation formula of the quadratic form J ---
 
 
 # Gauss-Legendre nodes per panel; the _GRADED_PANELS panels of the
@@ -162,30 +162,6 @@ def _branch_cut_rule(xi, umax, a: float):
     grading = np.append(_GRADING ** np.arange(_GRADED_PANELS), 0.0)[::-1]
     u, w = _gauss_panels((np.asarray(umax, dtype=float)[..., None] * grading) ** (1.0 + a), 1.0 + a)
     return xi * np.cosh(u), w * xi**a * (np.sinh(u) / u) ** a
-
-
-def kernel_k(kp: KernelParams, xi_perp: float, t: float) -> float:
-    """Laplace-transform kernel of the half-space quadratic form J.
-
-    lambda = N - 2 (N = 3): the residue-theorem value pi e^(-t xi)/xi.
-    lambda > N - 2: the contour-deformation integral along the branch cut.
-    lambda < N - 2 is rejected: no positive representation exists.
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if kp.lam < kp.dim - 2:
-        raise ValueError("no positive Laplace representation for lambda < N - 2")
-    if kp.dim >= 2 and xi_perp <= 0:
-        raise ValueError("xi_perp must be positive for N >= 2")
-    if kp.dim >= 3 and abs(kp.lam - (kp.dim - 2)) < 1e-12:
-        return float(np.pi / xi_perp * np.exp(-t * xi_perp))
-    a = 1.0 - kp.dim + kp.lam
-    pref = 2.0 * np.sin(0.5 * np.pi * (kp.dim - kp.lam))
-    if xi_perp == 0.0:
-        # Limit: int_0^inf e^(-tau t) tau^(a-1) dtau = Gamma(a) t^(-a).
-        return float(pref * gamma(a) * t ** (-a))
-    taus, ws = _branch_cut_rule(xi_perp, np.arccosh(1.0 + 45.0 / (t * xi_perp)), a)
-    return float(pref * (ws @ np.exp(-t * taus)))
 
 
 def _cell_laplace(left: np.ndarray, values: np.ndarray, h: float, taus: np.ndarray) -> np.ndarray:

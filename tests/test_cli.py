@@ -327,6 +327,8 @@ _SMALL_2D = dict(_SMALL, command="positivity", kernel={"dim": 2, "lambda": 1.0})
     [
         pytest.param(dict(_SMALL, command="positivity"), id="positivity-without-region"),
         pytest.param(dict(_SMALL_2D, grid={"min": -8, "max": [8, 4], "points": 16}), id="unequal-spacing"),
+        pytest.param(dict(_SMALL, grid={"min": -8, "max": 8, "points": 16.7}), id="fractional-points"),
+        pytest.param(dict(_SMALL_2D, command="energy", grid={"min": -8, "max": 8, "points": [16, 16.5]}), id="fractional-points-list"),
         pytest.param(dict(_SMALL, function={"file": "no-such-field.csv"}), id="missing-function-file"),
         pytest.param(dict(_SMALL_2D, region={"halfspace": {"normal": [0, 0]}}), id="zero-normal"),
         pytest.param(dict(_SMALL_2D, region={"ball": 5}), id="ball-not-an-object"),
@@ -392,6 +394,15 @@ def test_overflowing_grid_width_exits_two_with_its_message(tmp_path, capsys):
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert capsys.readouterr().err == "config error: grid.max - grid.min must be a finite number on every axis\n"
+
+
+@pytest.mark.parametrize("points", [100.7, [64, 8.9]], ids=["scalar", "list"])
+def test_fractional_grid_points_exit_two_with_their_message(tmp_path, capsys, points):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(_SMALL_2D, command="energy", grid={"min": -8, "max": 8, "points": points})))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    bad = points if isinstance(points, float) else points[1]
+    assert capsys.readouterr().err == f"config error: grid.points must be whole numbers, got {bad}\n"
 
 
 @pytest.mark.parametrize(

@@ -161,6 +161,20 @@ def test_ball_coverage_window_of_an_overflowing_quotient_raises_nothing(dim):
             assert np.all(ball_coverage(g, np.full(dim, big), math.inf) == 1.0)
 
 
+@pytest.mark.parametrize("lo", [[1e300], [1e300, 0.0]], ids=["1d", "2d"])
+def test_ball_coverage_of_an_underflowing_subsample_step_is_a_step(lo):
+    # h / 3, scaled to the reach, underflows to 0: every cell centre and
+    # subsample lies at distance exactly 1e300, so each cell is half inside,
+    # and the radii one ulp away leave it out or take it in.
+    g = Grid(lo=lo, spacing=8e-24, shape=(4,) * len(lo))
+    c = np.zeros(len(lo))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.all(ball_coverage(g, c, 1e300) == 0.5)
+        assert np.all(ball_coverage(g, c, math.nextafter(1e300, 0.0)) == 0.0)
+        assert np.all(ball_coverage(g, c, math.nextafter(1e300, math.inf)) == 1.0)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("exp2", [900, -900])
 def test_ball_coverage_is_invariant_under_a_power_of_two_scale(dim, exp2):

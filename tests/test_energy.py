@@ -13,7 +13,6 @@ from invpos import energy
 from invpos.energy import (
     el_residual,
     energy_direct,
-    energy_radial,
     gaussian_field,
     rayleigh_quotient,
     riesz_potential,
@@ -146,19 +145,6 @@ def test_el_residual_small_for_extremizer_large_for_gaussian():
     res_ext = el_residual(f, kp)
     res_gau = el_residual(gaussian_field(g, [0.0], 1.0), kp)
     assert res_ext < 0.1 * res_gau
-
-
-def test_energy_radial_matches_direct():
-    kp = KernelParams(dim=3, lam=1.0)
-    g = box_grid([-6.0] * 3, [6.0] * 3, 48)
-    f = gaussian_field(g, [0.0] * 3, 1.0)
-    direct = energy_direct(f, f, kp)
-    # Radial profile on a 1D grid of radii.
-    gr = box_grid([0.0], [6.0], 512)
-    r = gr.axis_centers(0)
-    fr = Field(gr, np.exp(-(r ** 2) / 2.0))
-    rad = energy_radial(fr, fr, kp)
-    assert abs(rad.value - direct.value) < 0.01 * direct.value
 
 
 # --- the cached Riesz operator against the uncached rules it replaced ---

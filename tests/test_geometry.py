@@ -1,4 +1,4 @@
-"""Point-level conformal maps: inversions, reflections, the Cayley map."""
+"""Point-level conformal maps: inversions and reflections."""
 
 import re
 
@@ -8,8 +8,6 @@ import pytest
 from invpos.geometry import (
     Ball,
     HalfSpace,
-    cayley_point,
-    cayley_singular_point,
     invert_point,
     reflect_point,
     unit_vector,
@@ -55,28 +53,6 @@ def test_reflection_reverses_signed_distance():
     q = reflect_point(h, p)
     assert np.isclose(q[0, 1] - (-1.0), -(p[0, 1] - (-1.0)))
     assert np.isclose(q[0, 0], p[0, 0])
-
-
-def test_cayley_map_is_involutive_away_from_its_pole():
-    rng = np.random.default_rng(3)
-    pts = rng.normal(size=(40, 3))
-    pole = cayley_singular_point(3)
-    pts = pts[np.linalg.norm(pts - pole, axis=-1) > 0.3]
-    assert np.allclose(cayley_point(cayley_point(pts)), pts, atol=1e-9)
-
-
-def test_cayley_map_exchanges_ball_and_halfspace():
-    # The map conjugates the unit sphere to a hyperplane: points of the unit
-    # sphere (minus the pole) land on a common affine hyperplane.
-    angles = np.linspace(0.1, 2.0 * np.pi - 0.1, 25)
-    sphere = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    image = cayley_point(sphere)
-    # Fit a hyperplane through the first two image points and check the rest.
-    d = image[1] - image[0]
-    normal = np.array([-d[1], d[0]])
-    normal /= np.linalg.norm(normal)
-    offsets = (image - image[0]) @ normal
-    assert np.max(np.abs(offsets)) < 1e-9
 
 
 def test_region_contains():

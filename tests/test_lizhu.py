@@ -6,15 +6,12 @@ import pytest
 from invpos.fields import ExtremizerSpec, Field, box_grid
 from invpos.geometry import Ball, HalfSpace, invert_point
 from invpos.lizhu import (
-    Box,
     Measure,
     check_mass_identity,
     check_pointwise_invariance,
-    check_radial_decreasing,
     check_radial_derivative,
     fit_invariant_density,
     hemiball_on_ray,
-    pushforward_mass,
     solve_mapping_ball,
 )
 from invpos.symmetrize import BracketingError
@@ -31,28 +28,6 @@ def _standard_density_2d(n=256, halfwidth=12.0):
     g = box_grid([-halfwidth] * 2, [halfwidth] * 2, n)
     X, Y = np.meshgrid(g.axis_centers(0), g.axis_centers(1), indexing="ij")
     return Field(g, (1.0 + X**2 + Y**2) ** (-2.0))
-
-
-def test_measure_needs_exactly_one_representation():
-    with pytest.raises(ValueError):
-        Measure()
-    with pytest.raises(ValueError):
-        Measure(
-            points=np.zeros((1, 2)),
-            weights=np.ones(1),
-            density=_standard_density_2d(n=16),
-        )
-
-
-def test_cloud_mass_queries():
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
-    w = np.array([1.0, 2.0, 4.0])
-    m = Measure(points=pts, weights=w)
-    assert m.total_mass == 7.0
-    assert m.mass_in_ball(Ball(center=np.zeros(2), radius=2.0)) == 3.0
-    # Boundary atoms count half.
-    assert m.mass_in_ball(Ball(center=np.zeros(2), radius=1.0)) == 2.0
-    assert m.mass_in_halfspace(HalfSpace(normal=np.array([1.0, 0.0]), offset=0.5)) == 6.0
 
 
 def test_density_total_mass_with_tail():
@@ -134,8 +109,10 @@ def test_solve_mapping_ball_raises_for_a_bump_between_s_and_t():
 
 
 def test_solve_mapping_ball_names_the_share_above_an_unbalanced_plane():
-    # Two thirds of the mass lies above x = 0, so the plane is not balanced.
-    m = Measure(points=np.array([[-1.0], [1.0], [2.0]]), weights=np.ones(3))
+    # The density is twice as high above x = 0 as below it, so two thirds of
+    # the mass lies above and the plane is not balanced.
+    g = box_grid([-8.0], [8.0], 16)
+    m = Measure(density=Field(g, np.where(g.axis_centers(0) > 0, 2.0, 1.0)))
     with pytest.raises(BracketingError, match="0.666667 of its mass lies above"):
         solve_mapping_ball(m, np.array([1.0]), s=0.5, t=2.0)
 
@@ -187,43 +164,3 @@ def test_fit_flags_concentrated_density():
     vals[32, 32] = 1.0
     fit = fit_invariant_density(Field(g, vals))
     assert fit.mass_divergence
-
-
-def test_radial_decreasing_report():
-    m = Measure(density=_standard_density_2d())
-    rep = check_radial_decreasing(m, seed=1)
-    assert rep.max_radial_violation < 1e-3
-    assert rep.max_monotonicity_violation < 1e-9
-
-
-def test_pushforward_mass_reflection_preserves_symmetric_boxes():
-    # Reflecting across {x1 = 0} maps the symmetric standard density to
-    # itself, so the pushforward mass of a symmetric box is the box mass.
-    m = Measure(density=_standard_density_2d())
-    target = Box(lo=[-1.0, -1.0], hi=[1.0, 1.0])
-    pushed = pushforward_mass(
-        m, HalfSpace(normal=np.array([1.0, 0.0]), offset=0.0), target
-    )
-    # Exact integral of (1+|x|^2)^(-2) over the unit box.
-    assert abs(pushed - 1.7408395) < 5e-3
-
-
-def test_pushforward_rejects_atoms_at_the_inversion_center():
-    pts = np.array([[0.0, 0.0], [2.0, 0.0]])
-    m = Measure(points=pts, weights=np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        pushforward_mass(
-            m, Ball(center=np.zeros(2), radius=1.0), Box(lo=[-1, -1], hi=[1, 1])
-        )
-
-
-def test_pushforward_cloud_under_inversion():
-    # A single atom at distance 2 from the center of a unit ball maps to
-    # distance 1/2; boxes containing that image collect the weight.
-    pts = np.array([[2.0, 0.0]])
-    m = Measure(points=pts, weights=np.array([3.0]))
-    b = Ball(center=np.zeros(2), radius=1.0)
-    inner = Box(lo=[0.0, -0.1], hi=[1.0, 0.1])
-    outer = Box(lo=[1.5, -0.1], hi=[2.5, 0.1])
-    assert pushforward_mass(m, b, inner) == 3.0
-    assert pushforward_mass(m, b, outer) == 0.0

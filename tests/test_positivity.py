@@ -9,11 +9,11 @@ from invpos.fields import Field, KernelParams, box_grid
 from invpos.geometry import Ball, HalfSpace
 from invpos.positivity import (
     SearchFailureError,
+    _branch_cut_rule,
     _cell_laplace,
     _legendre_rule,
     find_negative_defect,
     halfspace_representation,
-    kernel_k,
     newton_zero_overlap,
     positivity_defect,
     reflected_energy,
@@ -101,41 +101,19 @@ def test_defect_oracle_finite_when_the_plane_is_off_a_cell_edge():
     assert abs(rep.oracle_value - rep.defect_via_g) <= 3.0 * rep.est_error
 
 
-def test_kernel_k_residue_closed_form():
-    # lambda = N - 2 (N=3): k(xi, t) = pi e^(-t xi) / xi; at xi=1, t=2 this
-    # is (pi) e^(-2) ... the J-form normalization gives pi/xi * exp(-t xi).
-    kp = KernelParams(dim=3, lam=1.0)
-    assert np.isclose(kernel_k(kp, 1.0, 2.0), np.pi * np.exp(-2.0), rtol=1e-12)
-    assert np.isclose(kernel_k(kp, 2.0, 1.0), 0.5 * np.pi * np.exp(-2.0), rtol=1e-12)
-
-
-def test_kernel_k_rejects_lambda_below_threshold():
-    kp = KernelParams(dim=3, lam=0.5)
-    with pytest.raises(ValueError):
-        kernel_k(kp, 1.0, 1.0)
-
-
-def test_kernel_k_positive_above_threshold():
-    kp = KernelParams(dim=3, lam=1.5)
-    for xi in (0.5, 1.0, 2.0):
-        for t in (0.3, 1.0, 3.0):
-            assert kernel_k(kp, xi, t) > 0.0
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-def test_kernel_k_matches_bessel_closed_form(dim):
+def test_branch_cut_rule_matches_bessel_closed_form():
     # int_xi^inf e^(-t tau) (tau^2 - xi^2)^((a-1)/2) dtau
     # = Gamma((a+1)/2) / sqrt(pi) (2 xi / t)^(a/2) K_(a/2)(t xi)  (DLMF 10.32),
-    # with a = 1 - N + lambda; a near -1 is the endpoint-singular end.
+    # with a = 1 - N + lambda; a near -1 is the endpoint-singular end.  The
+    # rule stops where e^(-t tau) is e^(-45) times its value at tau = xi.
     grid = (0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 20.0)
     for a in np.arange(-0.95, 0.99, 0.05):
-        lam = dim - 1 + a
-        kp = KernelParams(dim=dim, lam=lam)
-        pref = 2.0 * np.sin(0.5 * np.pi * (dim - lam)) * gamma(0.5 * (a + 1.0)) / np.sqrt(np.pi)
+        pref = gamma(0.5 * (a + 1.0)) / np.sqrt(np.pi)
         for xi in grid:
             for t in grid:
                 expect = pref * (2.0 * xi / t) ** (0.5 * a) * kv(0.5 * a, t * xi)
-                assert abs(kernel_k(kp, xi, t) - expect) <= 1e-5 * expect, (lam, xi, t)
+                taus, ws = _branch_cut_rule(xi, np.arccosh(1.0 + 45.0 / (t * xi)), a)
+                assert abs(ws @ np.exp(-t * taus) - expect) <= 1e-5 * expect, (a, xi, t)
 
 
 def test_representation_closed_form_indicator():
