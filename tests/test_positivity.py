@@ -101,19 +101,23 @@ def test_defect_oracle_finite_when_the_plane_is_off_a_cell_edge():
     assert abs(rep.oracle_value - rep.defect_via_g) <= 3.0 * rep.est_error
 
 
-def test_branch_cut_rule_matches_bessel_closed_form():
+@pytest.mark.parametrize("dim", [2, 3])
+def test_kernel_k_matches_bessel_closed_form(dim):
+    # The half-space kernel K(xi, t) = 2 sin(pi (N - lambda)/2)
     # int_xi^inf e^(-t tau) (tau^2 - xi^2)^((a-1)/2) dtau
-    # = Gamma((a+1)/2) / sqrt(pi) (2 xi / t)^(a/2) K_(a/2)(t xi)  (DLMF 10.32),
-    # with a = 1 - N + lambda; a near -1 is the endpoint-singular end.  The
-    # rule stops where e^(-t tau) is e^(-45) times its value at tau = xi.
+    # = 2 sin(pi (N - lambda)/2) Gamma((a+1)/2) / sqrt(pi) (2 xi / t)^(a/2) K_(a/2)(t xi)
+    # (DLMF 10.32), with a = 1 - N + lambda; a near -1 is the endpoint-singular
+    # end.  The rule stops where e^(-t tau) is e^(-45) times its value at tau = xi.
     grid = (0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 20.0)
     for a in np.arange(-0.95, 0.99, 0.05):
-        pref = gamma(0.5 * (a + 1.0)) / np.sqrt(np.pi)
+        lam = dim - 1 + a
+        pref = 2.0 * np.sin(0.5 * np.pi * (dim - lam)) * gamma(0.5 * (a + 1.0)) / np.sqrt(np.pi)
         for xi in grid:
             for t in grid:
                 expect = pref * (2.0 * xi / t) ** (0.5 * a) * kv(0.5 * a, t * xi)
-                taus, ws = _branch_cut_rule(xi, np.arccosh(1.0 + 45.0 / (t * xi)), a)
-                assert abs(ws @ np.exp(-t * taus) - expect) <= 1e-5 * expect, (a, xi, t)
+                taus, ws = _branch_cut_rule(xi, np.arccosh(1.0 + 45.0 / (t * xi)), 1.0 - dim + lam)
+                got = 2.0 * np.sin(0.5 * np.pi * (dim - lam)) * (ws @ np.exp(-t * taus))
+                assert abs(got - expect) <= 1e-5 * expect, (lam, xi, t)
 
 
 def test_representation_closed_form_indicator():
