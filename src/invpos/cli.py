@@ -82,8 +82,17 @@ def _check_keys(obj: dict, allowed, path: str) -> None:
 
 
 def _is_number(value) -> bool:
-    """A finite JSON number; true and false are rejected although bool subclasses int."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """A finite JSON number; true and false are rejected although bool subclasses int.
+
+    An integer too large for a float is not finite: ``math.isfinite`` raises
+    OverflowError on it.
+    """
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _per_axis(value, dim: int, name: str) -> list:

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.ndimage import map_coordinates
-from scipy.optimize import least_squares
+from scipy.optimize import leastsq
 
 from .geometry import Ball, HalfSpace, inversion_factor, reflect_point
 
@@ -145,22 +145,60 @@ class ExtremizerSpec:
         return self.alpha * (self.beta + d2) ** (-self.power)
 
 
-def fit_family(values: np.ndarray, pts: np.ndarray, power: float, alpha0: float, beta0: float, center0, max_nfev: int) -> tuple:
+def fit_family(values: np.ndarray, grid: Grid, power: float, alpha0: float, beta0: float, center0, max_nfev: int) -> tuple:
     """Levenberg-Marquardt fit of alpha (beta + |x - center|^2)^(-power) to samples.
 
-    ``values`` are taken at the points ``pts``; the fit runs over log alpha,
-    log beta and the center, with residuals scaled by max |values|.  Returns
+    ``values`` are taken at the cell centres of ``grid`` (grid-shaped or
+    raveled in row-major order).  The model is evaluated on the grid's
+    per-axis coordinate arrays, never on its point array.  The fit runs over
+    p = (log alpha, log beta, center), with residuals scaled by max |values|,
+    by MINPACK's Levenberg-Marquardt (``leastsq``, with the tolerances of
+    ``least_squares(method="lm")``) on the analytic Jacobian: with
+    b = beta + |x - c|^2 and m = alpha b^(-power),
+
+        dm/dp_0 = m,  dm/dp_1 = -power m beta / b,  dm/dc_k = 2 power m (x_k - c_k) / b,
+
+    each divided by the residual scale.  The residual and the Jacobian at one
+    p share one evaluation of b and m.  With a Jacobian supplied, ``max_nfev``
+    counts residual evaluations only; the budgets of the callers (400 in
+    ``symmetrize.fit_extremizer``, 500 in ``lizhu.fit_invariant_density``)
+    lie far above the few evaluations an in-tree fit makes.  Returns
     (alpha, beta, center).
     """
+    values = np.asarray(values, dtype=float).ravel()
     scale = np.max(np.abs(values))
+    coords = _axis_coords(grid)
+    last = {}
+
+    def model(params):
+        """(x_k - c_k per axis, b, m) at ``params``, kept for the next call at the same point."""
+        key = params.tobytes()
+        if key not in last:
+            deltas = [x - c for x, c in zip(coords, params[2:])]
+            b = np.exp(params[1]) + sum(d * d for d in deltas)
+            last.clear()
+            last[key] = deltas, b, np.exp(params[0]) * b ** (-power)
+        return last[key]
 
     def resid(params):
-        d2 = np.sum((pts - params[2:]) ** 2, axis=-1)
-        return (np.exp(params[0]) * (np.exp(params[1]) + d2) ** (-power) - values) / scale
+        return (model(params)[2].ravel() - values) / scale
+
+    def jac(params):
+        deltas, b, m = model(params)
+        # C-order (params, cells) rows: with col_deriv, MINPACK reads them as
+        # its Fortran-order (cells, params) matrix, with no transpose.
+        rows = np.empty((params.size,) + grid.shape)
+        np.divide(m, scale, out=rows[0])
+        t = (power / scale) * m / b
+        np.multiply(t, -np.exp(params[1]), out=rows[1])
+        for k, d in enumerate(deltas):
+            np.multiply(t, 2.0 * d, out=rows[2 + k])
+        return rows.reshape(params.size, -1)
 
     x0 = np.concatenate([[np.log(alpha0), np.log(beta0)], center0])
-    sol = least_squares(resid, x0, method="lm", max_nfev=max_nfev)
-    return float(np.exp(sol.x[0])), float(np.exp(sol.x[1])), sol.x[2:]
+    # Full output returns the last iterate, without a warning, when the budget runs out.
+    x = leastsq(resid, x0, Dfun=jac, full_output=True, col_deriv=True, ftol=1e-8, xtol=1e-8, gtol=1e-8, maxfev=max_nfev)[0]
+    return float(np.exp(x[0])), float(np.exp(x[1])), x[2:]
 
 
 @dataclass(frozen=True)

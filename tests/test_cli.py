@@ -329,6 +329,9 @@ _SMALL_2D = dict(_SMALL, command="positivity", kernel={"dim": 2, "lambda": 1.0})
         pytest.param(dict(_SMALL_2D, grid={"min": -8, "max": [8, 4], "points": 16}), id="unequal-spacing"),
         pytest.param(dict(_SMALL, grid={"min": -8, "max": 8, "points": 16.7}), id="fractional-points"),
         pytest.param(dict(_SMALL_2D, command="energy", grid={"min": -8, "max": 8, "points": [16, 16.5]}), id="fractional-points-list"),
+        pytest.param(dict(_SMALL, grid={"min": -8, "max": 8, "points": 10**400}), id="huge-points"),
+        pytest.param(dict(_SMALL, grid={"min": 10**400, "max": 8, "points": 16}), id="huge-grid-min"),
+        pytest.param(dict(_SMALL, kernel={"dim": 1, "lambda": 10**400}), id="huge-lambda"),
         pytest.param(dict(_SMALL, function={"file": "no-such-field.csv"}), id="missing-function-file"),
         pytest.param(dict(_SMALL_2D, region={"halfspace": {"normal": [0, 0]}}), id="zero-normal"),
         pytest.param(dict(_SMALL_2D, region={"ball": 5}), id="ball-not-an-object"),

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from invpos import fields
 from invpos.fields import (
@@ -24,6 +25,7 @@ from invpos.fields import (
     write_field_csv,
 )
 from invpos.geometry import Ball, HalfSpace, invert_point, reflect_point
+from invpos.symmetrize import SymmetrizationConfig, run_symmetrization
 
 
 def test_kernel_params_validation_and_exponent():
@@ -389,3 +391,58 @@ def test_field_csv_rejects_malformed_header(tmp_path):
     path.write_text("dim,1\norigin,zero\nspacing,0.1\nextent,4\n1\n2\n3\n4\n")
     with pytest.raises(ValueError):
         read_field_csv(path)
+
+
+def _finite_difference_fit(values, grid, power, alpha0, beta0, center0, max_nfev):
+    """The fit as it was before the analytic Jacobian: MINPACK's finite differences over ``grid.points()``."""
+    pts = grid.points()
+    vals = values.ravel()
+    scale = np.max(np.abs(vals))
+
+    def resid(params):
+        d2 = np.sum((pts - params[2:]) ** 2, axis=-1)
+        return (np.exp(params[0]) * (np.exp(params[1]) + d2) ** (-power) - vals) / scale
+
+    x0 = np.concatenate([[np.log(alpha0), np.log(beta0)], center0])
+    sol = least_squares(resid, x0, method="lm", max_nfev=max_nfev)
+    return float(np.exp(sol.x[0])), float(np.exp(sol.x[1])), sol.x[2:]
+
+
+def _symmetrized_box_2d():
+    g = box_grid([-12.0] * 2, [12.0] * 2, 64)
+    x, y = (g.axis_centers(k) for k in range(2))
+    box = ((x >= -1.5) & (x <= 0.4))[:, None] & ((y >= -0.6) & (y <= 1.3))[None, :]
+    kp = KernelParams(dim=2, lam=1.0)
+    trace = run_symmetrization(Field(g, box.astype(float)), kp, SymmetrizationConfig(max_sweeps=1))
+    return trace.final_field.values, g, kp.lift_power / 2.0
+
+
+def _noisy_family_member(dim, points, halfwidth, lam, center, seed):
+    g = box_grid([-halfwidth] * dim, [halfwidth] * dim, points)
+    spec = ExtremizerSpec(alpha=1.7, beta=1.4, center=np.array(center), power=(2.0 * dim - lam) / 2.0)
+    noise = 1.0 + 0.02 * np.random.default_rng(seed).standard_normal(g.size)
+    return (spec(g.points()) * noise).reshape(g.shape), g, spec.power
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(_symmetrized_box_2d, id="symmetrized-box-2d"),
+        pytest.param(lambda: _noisy_family_member(1, 512, 20.0, 0.5, [0.4], 1), id="noisy-1d"),
+        pytest.param(lambda: _noisy_family_member(3, 24, 6.0, 1.5, [0.3, -0.2, 0.1], 3), id="noisy-3d-24"),
+    ],
+)
+def test_fit_family_matches_the_finite_difference_fit_on_the_point_array(case):
+    # Both fits start from a rough guess and must reach the same least-squares
+    # minimum, whose residual is not zero.
+    values, g, power = case()
+    center0 = (values.ravel() @ g.points()) / values.sum()
+    start = (float(values.max()), 1.0, center0)
+    alpha, beta, center = fields.fit_family(values, g, power, *start, max_nfev=400)
+    ref_alpha, ref_beta, ref_center = _finite_difference_fit(values, g, power, *start, max_nfev=400)
+    assert abs(alpha - ref_alpha) <= 1e-6 * ref_alpha
+    assert abs(beta - ref_beta) <= 1e-6 * ref_beta
+    assert np.all(np.abs(center - ref_center) <= 1e-6 * max(np.linalg.norm(ref_center), np.sqrt(ref_beta)))
+    # The minimum leaves a residual (2 % noise, or a field the family does not hold).
+    model = ExtremizerSpec(alpha, beta, center, power)(g.points())
+    assert 0.01 < np.linalg.norm(model - values.ravel()) / np.linalg.norm(values) < 0.25

@@ -158,6 +158,19 @@ def test_fit_invariant_density_recovers_parameters():
     assert not fit.mass_divergence
 
 
+@pytest.mark.parametrize("dim, points, halfwidth", [(1, 2048, 20.0), (3, 32, 6.0)])
+def test_fit_invariant_density_recovers_parameters_in_1d_and_3d(dim, points, halfwidth):
+    g = box_grid([-halfwidth] * dim, [halfwidth] * dim, points)
+    center = np.array([0.4, -0.3, 0.2][:dim])
+    spec = ExtremizerSpec(alpha=2.5, beta=1.5, center=center, power=float(dim))
+    fit = fit_invariant_density(Field(g, spec(g.points()).reshape(g.shape)))
+    assert abs(fit.alpha - 2.5) < 1e-6
+    assert abs(fit.beta - 1.5) < 1e-6
+    assert np.all(np.abs(fit.center - center) < 1e-6)
+    assert fit.fit_error < 1e-6
+    assert not fit.mass_divergence
+
+
 def test_fit_flags_concentrated_density():
     g = box_grid([-12.0] * 2, [12.0] * 2, 64)
     vals = np.zeros((64, 64))

@@ -117,6 +117,18 @@ def test_fit_extremizer_recovers_exact_parameters():
     assert fit.fit_error < 1e-8
 
 
+@pytest.mark.parametrize("dim, lam, points, halfwidth", [(2, 1.0, 96, 12.0), (3, 2.0, 32, 8.0)])
+def test_fit_extremizer_recovers_exact_parameters_in_2d_and_3d(dim, lam, points, halfwidth):
+    kp = KernelParams(dim=dim, lam=lam)
+    center = np.array([0.3, -0.2, 0.1][:dim])
+    g = box_grid([-halfwidth] * dim, [halfwidth] * dim, points)
+    fit = fit_extremizer(make_extremizer(extremizer_spec(kp, alpha=1.7, beta=2.0, center=center), kp, g), kp)
+    assert abs(fit.alpha - 1.7) < 1e-6
+    assert abs(fit.beta - 2.0) < 1e-6
+    assert np.all(np.abs(fit.center - center) < 1e-6)
+    assert fit.fit_error < 1e-8
+
+
 def test_run_symmetrization_from_indicator_converges():
     g = box_grid([-160.0], [160.0], 4096)
     x = g.axis_centers(0)
