@@ -22,28 +22,23 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-COMMANDS = (
-    "energy",
-    "transform",
-    "positivity",
-    "represent",
-    "symmetrize",
-    "hemiball",
-    "lizhu-check",
-    "counterexample",
-    "sharp-constant",
-)
+# Each family's keys beside "family", with their defaults; center, lo and hi
+# are per-axis.
+_FAMILIES = {
+    "extremizer": {"alpha": 1.0, "beta": 1.0, "center": 0.0},
+    "gaussian": {"center": 0.0, "width": 1.0, "amplitude": 1.0},
+    "indicator": {"lo": -1.0, "hi": 1.0},
+}
 
-_FAMILIES = ("extremizer", "gaussian", "indicator")
-
-# The tolerance names each command reads; other commands read none.
+# The tolerance names each command reads, with their defaults; other commands
+# read none.  hemiball's expected has none: without it there is no verdict.
 _TOLERANCES = {
-    "energy": ("rel_tol",),
-    "transform": ("sigma",),
-    "represent": ("rel_tol",),
-    "symmetrize": ("fit_error",),
-    "hemiball": ("expected", "abs_tol"),
-    "lizhu-check": ("cv_tol", "dev_tol"),
+    "energy": {"rel_tol": 0.01},
+    "transform": {"sigma": 1.0},
+    "represent": {"rel_tol": 0.005},
+    "symmetrize": {"fit_error": 0.05},
+    "hemiball": {"expected": None, "abs_tol": 1e-4},
+    "lizhu-check": {"cv_tol": 1e-3, "dev_tol": 1e-3},
 }
 
 
@@ -53,13 +48,15 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """A validated config with every default filled in and per-axis values as lists of dim floats."""
+
     command: str
     dim: int
     lam: float
     grid_min: list
     grid_max: list
     points: list
-    function: Optional[dict]
+    function: dict
     region: Optional[dict]
     tolerances: dict
     seed: Optional[int]
@@ -148,32 +145,30 @@ def parse_config(text: str) -> RunConfig:
     points = [int(n) for n in points]
 
     function = doc.get("function")
-    if function is not None:
-        if not isinstance(function, dict):
-            raise ConfigError("function must be an object")
-        if "file" in function:
-            _check_keys(function, {"file"}, "function")
-            if not isinstance(function["file"], str):
-                raise ConfigError("function.file must be a path string")
-        else:
-            fam = function.get("family")
-            if fam not in _FAMILIES:
-                raise ConfigError(f"function.family must be one of {', '.join(_FAMILIES)}")
-            allowed = {
-                "extremizer": {"family", "alpha", "beta", "center"},
-                "gaussian": {"family", "center", "width", "amplitude"},
-                "indicator": {"family", "lo", "hi"},
-            }[fam]
-            _check_keys(function, allowed, "function")
-            for key in ("alpha", "amplitude", "beta", "width"):
-                if key in function and not _is_number(function[key]):
-                    raise ConfigError(f"function.{key} must be a number")
-            for key in ("beta", "width"):
-                if key in function and not function[key] > 0:
-                    raise ConfigError(f"function.{key} must be positive")
-            for key in ("center", "lo", "hi"):
-                if key in function:
-                    _per_axis(function[key], dim, f"function.{key}")
+    if function is None:
+        function = {"family": "extremizer"}
+    if not isinstance(function, dict):
+        raise ConfigError("function must be an object")
+    if "file" in function:
+        _check_keys(function, {"file"}, "function")
+        if not isinstance(function["file"], str):
+            raise ConfigError("function.file must be a path string")
+    else:
+        fam = function.get("family")
+        # The family may be any JSON value, and a list or object is unhashable.
+        if not isinstance(fam, str) or fam not in _FAMILIES:
+            raise ConfigError(f"function.family must be one of {', '.join(_FAMILIES)}")
+        _check_keys(function, {"family", *_FAMILIES[fam]}, "function")
+        function = {**_FAMILIES[fam], **function}
+        for key in ("alpha", "amplitude", "beta", "width"):
+            if key in function and not _is_number(function[key]):
+                raise ConfigError(f"function.{key} must be a number")
+        for key in ("beta", "width"):
+            if key in function and not function[key] > 0:
+                raise ConfigError(f"function.{key} must be positive")
+        for key in ("center", "lo", "hi"):
+            if key in function:
+                function[key] = _per_axis(function[key], dim, f"function.{key}")
 
     region = doc.get("region")
     if region is not None:
@@ -184,21 +179,26 @@ def parse_config(text: str) -> RunConfig:
             _check_keys(params, {"center", "radius"}, "region.ball")
             if not (_is_number(params.get("radius")) and params["radius"] > 0):
                 raise ConfigError("region.ball.radius must be a positive number")
-            if "center" in params:
-                _per_axis(params["center"], dim, "region.ball.center")
+            params = {"center": _per_axis(params.get("center", 0.0), dim, "region.ball.center"), "radius": params["radius"]}
         elif kind == "halfspace":
             _check_keys(params, {"normal", "offset"}, "region.halfspace")
-            if "normal" in params and not any(_per_axis(params["normal"], dim, "region.halfspace.normal")):
+            normal = _per_axis(params.get("normal", [0.0] * (dim - 1) + [1.0]), dim, "region.halfspace.normal")
+            if not any(normal):
                 raise ConfigError("region.halfspace.normal must be non-zero")
-            if "offset" in params and not _is_number(params["offset"]):
+            offset = params.get("offset", 0.0)
+            if not _is_number(offset):
                 raise ConfigError("region.halfspace.offset must be a number")
+            params = {"normal": normal, "offset": offset}
         else:
             raise ConfigError("region must hold exactly one of: ball, halfspace")
+        region = {kind: params}
 
     tolerances = doc.get("tolerances", {})
     if not isinstance(tolerances, dict) or not all(_is_number(v) for v in tolerances.values()):
         raise ConfigError("tolerances must map names to numbers")
-    _check_keys(tolerances, _TOLERANCES.get(command, ()), "tolerances")
+    defaults = _TOLERANCES.get(command, {})
+    _check_keys(tolerances, defaults, "tolerances")
+    tolerances = {**defaults, **tolerances}
 
     seed = doc.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool) or seed < 0):
@@ -218,41 +218,33 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
-def _build_grid(cfg: RunConfig):
-    from .fields import box_grid
-
-    try:
-        return box_grid(cfg.grid_min, cfg.grid_max, cfg.points)
-    except ValueError as exc:
-        raise ConfigError("grid must have equal spacing on every axis") from exc
-
-
-def _build_field(cfg: RunConfig, kp, grid):
+def _build_field(cfg: RunConfig, kp):
     import numpy as np
 
     from .coverage import box_coverage
     from .energy import gaussian_field
-    from .fields import Field, extremizer_spec, make_extremizer, read_field_csv
+    from .fields import Field, box_grid, extremizer_spec, make_extremizer, read_field_csv
 
-    fn = cfg.function or {"family": "extremizer"}
+    try:
+        grid = box_grid(cfg.grid_min, cfg.grid_max, cfg.points)
+    except ValueError as exc:
+        raise ConfigError("grid must have equal spacing on every axis") from exc
+    fn = cfg.function
     if "file" in fn:
         try:
             f = read_field_csv(fn["file"])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read function.file: {exc}") from exc
     elif fn["family"] == "extremizer":
-        center = fn.get("center", [0.0] * cfg.dim)
-        spec = extremizer_spec(kp, alpha=fn.get("alpha", 1.0), beta=fn.get("beta", 1.0), center=np.asarray(center, dtype=float))
+        spec = extremizer_spec(kp, alpha=fn["alpha"], beta=fn["beta"], center=np.asarray(fn["center"]))
         try:
             f = make_extremizer(spec, kp, grid)
         except ValueError as exc:
             raise ConfigError(f"function.center: {exc}") from exc
     elif fn["family"] == "gaussian":
-        f = gaussian_field(grid, fn.get("center", [0.0] * cfg.dim), fn.get("width", 1.0), fn.get("amplitude", 1.0))
+        f = gaussian_field(grid, fn["center"], fn["width"], fn["amplitude"])
     else:
-        lo = _per_axis(fn.get("lo", -1.0), cfg.dim, "function.lo")
-        hi = _per_axis(fn.get("hi", 1.0), cfg.dim, "function.hi")
-        f = Field(grid, box_coverage(grid, lo, hi).reshape(grid.shape))
+        f = Field(grid, box_coverage(grid, fn["lo"], fn["hi"]).reshape(grid.shape))
     # An all-zero field makes every energy, defect and bound 0, so each
     # verdict would pass vacuously.
     if not np.any(f.values):
@@ -261,17 +253,15 @@ def _build_field(cfg: RunConfig, kp, grid):
 
 
 def _build_region(cfg: RunConfig):
-    import numpy as np
-
     from .geometry import Ball, HalfSpace, unit_vector
 
     if cfg.region is None:
         raise ConfigError(f"command {cfg.command} requires a region")
-    kind, params = next(iter(cfg.region.items()))
-    if kind == "ball":
-        return Ball(center=np.asarray(params.get("center", [0.0] * cfg.dim), dtype=float), radius=float(params["radius"]))
-    normal = unit_vector(params.get("normal", [0.0] * (cfg.dim - 1) + [1.0]))
-    return HalfSpace(normal=normal, offset=float(params.get("offset", 0.0)))
+    if "ball" in cfg.region:
+        ball = cfg.region["ball"]
+        return Ball(center=ball["center"], radius=float(ball["radius"]))
+    plane = cfg.region["halfspace"]
+    return HalfSpace(normal=unit_vector(plane["normal"]), offset=float(plane["offset"]))
 
 
 def _fmt(x) -> str:
@@ -322,8 +312,6 @@ class Report:
 
 
 def _cmd_sharp_constant(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
-    import math
-
     from .energy import sharp_constant
 
     value = sharp_constant(kp)
@@ -335,8 +323,7 @@ def _cmd_energy(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
     from .energy import energy_direct, sharp_constant
     from .fields import lp_norm
 
-    grid = _build_grid(cfg)
-    f = _build_field(cfg, kp, grid)
+    f = _build_field(cfg, kp)
     res = energy_direct(f, f, kp)
     rep.add("value", res.value)
     rep.add("quadrature", res.quadrature)
@@ -344,8 +331,8 @@ def _cmd_energy(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
     rep.add("est_kind", res.est_kind)
     quotient = res.value / lp_norm(f, kp.p) ** 2
     rep.add("rayleigh_quotient", quotient)
-    if (cfg.function or {}).get("family", "extremizer") == "extremizer" and "file" not in (cfg.function or {}):
-        tol = cfg.tolerances.get("rel_tol", 0.01)
+    if cfg.function.get("family") == "extremizer":
+        tol = cfg.tolerances["rel_tol"]
         diff = abs(quotient - sharp_constant(kp)) / sharp_constant(kp)
         rep.verdict("quotient_matches_sharp_constant", diff, tol, diff <= tol)
 
@@ -354,8 +341,7 @@ def _cmd_transform(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
     from .energy import energy_direct
     from .fields import apply_region_map
 
-    grid = _build_grid(cfg)
-    f = _build_field(cfg, kp, grid)
+    f = _build_field(cfg, kp)
     region = _build_region(cfg)
     try:
         theta_f = apply_region_map(region, f, kp)
@@ -369,7 +355,7 @@ def _cmd_transform(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
     rep.add("est_kind", e_f.est_kind)
     rep.add("est_error_transformed", e_t.est_error)
     rep.add("est_kind_transformed", e_t.est_kind)
-    sigma = cfg.tolerances.get("sigma", 1.0)
+    sigma = cfg.tolerances["sigma"]
     combined = sigma * (e_f.est_error + e_t.est_error)
     diff = abs(e_t.value - e_f.value)
     rep.verdict("conformal_invariance", diff, combined, diff <= combined)
@@ -378,8 +364,7 @@ def _cmd_transform(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
 def _cmd_positivity(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
     from .positivity import positivity_defect
 
-    grid = _build_grid(cfg)
-    f = _build_field(cfg, kp, grid)
+    f = _build_field(cfg, kp)
     region = _build_region(cfg)
     try:
         result = positivity_defect(region, f, kp)
@@ -403,8 +388,7 @@ def _cmd_positivity(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
 def _cmd_represent(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
     from .positivity import halfspace_representation, reflected_energy
 
-    grid = _build_grid(cfg)
-    f = _build_field(cfg, kp, grid)
+    f = _build_field(cfg, kp)
     # The oracle's input conditions (support in x_N >= 0; separable and
     # radial in x' for N >= 2) are conditions on the configured field.
     try:
@@ -416,7 +400,7 @@ def _cmd_represent(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
     rep.add("direct", direct.value)
     rep.add("direct_est_error", direct.est_error)
     rep.add("direct_est_kind", direct.est_kind)
-    tol = max(3.0 * direct.est_error, cfg.tolerances.get("rel_tol", 0.005) * abs(value))
+    tol = max(3.0 * direct.est_error, cfg.tolerances["rel_tol"] * abs(value))
     diff = abs(value - direct.value)
     rep.verdict("representation_matches_direct", diff, tol, diff <= tol)
 
@@ -425,8 +409,7 @@ def _cmd_symmetrize(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
     from .fields import write_field_csv
     from .symmetrize import SymmetrizationConfig, run_symmetrization
 
-    grid = _build_grid(cfg)
-    f0 = _build_field(cfg, kp, grid)
+    f0 = _build_field(cfg, kp)
     if (f0.values < 0).any():
         raise ConfigError("symmetrize needs a non-negative function")
     sym_cfg = SymmetrizationConfig(seed=cfg.seed)
@@ -440,7 +423,7 @@ def _cmd_symmetrize(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
         rep.add("fit_error", trace.final_fit.fit_error)
         rep.add("fit_alpha", trace.final_fit.alpha)
         rep.add("fit_beta", trace.final_fit.beta)
-        tol = cfg.tolerances.get("fit_error", 0.05)
+        tol = cfg.tolerances["fit_error"]
         rep.verdict("fit_error_small", trace.final_fit.fit_error, tol, trace.final_fit.fit_error <= tol)
     if trace.final_field is not None:
         write_field_csv(trace.final_field, os.path.join(out_dir, "final_field.csv"))
@@ -451,19 +434,17 @@ def _cmd_symmetrize(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
 def _cmd_hemiball(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
     from .symmetrize import hemiball_radius
 
-    grid = _build_grid(cfg)
-    f = _build_field(cfg, kp, grid)
-    center = [0.0] * cfg.dim
-    if cfg.region is not None and "ball" in cfg.region:
-        center = cfg.region["ball"].get("center", center)
+    f = _build_field(cfg, kp)
+    # Without a ball region the hemi-ball is centred at the origin.
+    center = cfg.region["ball"]["center"] if cfg.region and "ball" in cfg.region else [0.0] * cfg.dim
     try:
         radius = hemiball_radius(f, kp, center)
     except ValueError as exc:  # a 1-D tail whose |f|^p has infinite mass
         raise ConfigError(f"function: |f|^p: {exc}") from exc
     rep.add("radius", radius)
-    if "expected" in cfg.tolerances:
-        tol = cfg.tolerances.get("abs_tol", 1e-4)
-        diff = abs(radius - cfg.tolerances["expected"])
+    expected, tol = cfg.tolerances["expected"], cfg.tolerances["abs_tol"]
+    if expected is not None:
+        diff = abs(radius - expected)
         rep.verdict("radius_matches_expected", diff, tol, diff <= tol)
 
 
@@ -473,8 +454,7 @@ def _cmd_lizhu_check(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
     from .geometry import Ball
     from .lizhu import check_mass_identity, check_pointwise_invariance, fit_invariant_density
 
-    grid = _build_grid(cfg)
-    v = _build_field(cfg, kp, grid)
+    v = _build_field(cfg, kp)
     if np.any(v.values < 0):
         raise ConfigError("lizhu-check needs a non-negative density")
     fit = fit_invariant_density(v)
@@ -492,8 +472,7 @@ def _cmd_lizhu_check(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
     rep.add("mass_identity_cv", cv)
     deviation = check_pointwise_invariance(v, Ball(center=fit.center, radius=np.sqrt(fit.beta)))
     rep.add("pointwise_deviation", deviation)
-    cv_tol = cfg.tolerances.get("cv_tol", 1e-3)
-    dev_tol = cfg.tolerances.get("dev_tol", 1e-3)
+    cv_tol, dev_tol = cfg.tolerances["cv_tol"], cfg.tolerances["dev_tol"]
     rep.verdict("mass_identity", cv, cv_tol, cv <= cv_tol)
     rep.verdict("pointwise_invariance", deviation, dev_tol, deviation <= dev_tol)
 
@@ -544,7 +523,6 @@ class _NumericalFailure(RuntimeError):
 
 
 _HANDLERS = {
-    "sharp-constant": _cmd_sharp_constant,
     "energy": _cmd_energy,
     "transform": _cmd_transform,
     "positivity": _cmd_positivity,
@@ -553,7 +531,9 @@ _HANDLERS = {
     "hemiball": _cmd_hemiball,
     "lizhu-check": _cmd_lizhu_check,
     "counterexample": _cmd_counterexample,
+    "sharp-constant": _cmd_sharp_constant,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def run(config: RunConfig, out_dir: str, verbose: bool = False) -> int:

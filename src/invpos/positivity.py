@@ -110,8 +110,7 @@ def _standardize_1d(g: Field, region: HalfSpace) -> Field:
         lo = np.asarray([grid.lo[0] - t])
         values = g.values
     else:
-        hi = grid.lo[0] + grid.spacing * grid.shape[0]
-        lo = np.asarray([-t - hi])
+        lo = np.asarray([-t - grid.hi[0]])
         values = g.values[::-1]
     new_grid = Grid(lo=lo, spacing=grid.spacing, shape=grid.shape)
     return Field(new_grid, values)

@@ -164,6 +164,44 @@ def test_hemiball_command_spreads_a_numeric_centre_over_every_axis(tmp_path):
     assert scalar == (tmp_path / "list" / "report.csv").read_text()
 
 
+_GAUSS_2D = {"family": "gaussian", "center": [0.5, -0.25]}
+
+
+@pytest.mark.parametrize(
+    "command, function, region, path, c",
+    [
+        ("energy", _GAUSS_2D, None, ("grid", "min"), -4.0),
+        ("energy", _GAUSS_2D, None, ("grid", "max"), 4.0),
+        ("energy", _GAUSS_2D, None, ("grid", "points"), 16),
+        ("energy", {"family": "extremizer", "center": 0.5}, None, ("function", "center"), 0.5),
+        ("energy", {"family": "gaussian", "center": 0.5}, None, ("function", "center"), 0.5),
+        ("energy", {"family": "indicator", "lo": -1.5}, None, ("function", "lo"), -1.5),
+        ("energy", {"family": "indicator", "hi": 2.0}, None, ("function", "hi"), 2.0),
+        ("positivity", _GAUSS_2D, {"ball": {"center": 0.5, "radius": 1.5}}, ("region", "ball", "center"), 0.5),
+        ("hemiball", _GAUSS_2D, {"ball": {"center": 0.5, "radius": 1.5}}, ("region", "ball", "center"), 0.5),
+        ("positivity", _GAUSS_2D, {"halfspace": {"normal": 1, "offset": 0.25}}, ("region", "halfspace", "normal"), 1),
+    ],
+    ids=["grid.min", "grid.max", "grid.points", "extremizer-center", "gaussian-center", "function.lo", "function.hi",
+         "positivity-ball-center", "hemiball-ball-center", "halfspace-normal"],
+)
+def test_scalar_per_axis_value_runs_as_its_list(tmp_path, command, function, region, path, c):
+    doc = {"command": command, "kernel": {"dim": 2, "lambda": 1.0}, "grid": {"min": -4, "max": 4, "points": 16},
+           "function": function}
+    if region is not None:
+        doc["region"] = region
+    doc = json.loads(json.dumps(doc))
+    outcomes = []
+    for form, value in (("scalar", c), ("list", [c, c])):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        code = run(parse_config(json.dumps(doc)), str(tmp_path / form))
+        outcomes.append((code, (tmp_path / form / "report.csv").read_bytes()))
+    assert outcomes[0][0] in (EXIT_PASS, EXIT_FAIL)
+    assert outcomes[0] == outcomes[1]
+
+
 def test_failing_verdict_yields_exit_one(tmp_path):
     cfg = parse_config(
         json.dumps(
@@ -220,6 +258,22 @@ def test_failed_witness_search_names_its_grid(tmp_path):
     assert "on the 128x128x16 grid" in (tmp_path / "summary.txt").read_text()
 
 
+def test_counterexample_below_n_minus_two_writes_both_witnesses(tmp_path):
+    from invpos.fields import read_field_csv
+
+    cfg = parse_config(json.dumps({"command": "counterexample", "kernel": {"dim": 3, "lambda": 0.5}}))
+    assert run(cfg, str(tmp_path)) == EXIT_PASS
+    row = _report_row(tmp_path)
+    assert row["grid_shape"] == "128x128x16"
+    for name in ("negative_witness.csv", "positive_witness.csv"):
+        witness = read_field_csv(tmp_path / name)
+        assert witness.grid.shape_text == "128x128x16"
+        assert witness.grid.spacing == float(row["grid_spacing"])
+    est = float(row["est_error"])
+    assert float(row["negative_defect"]) < -3.0 * est
+    assert float(row["positive_defect"]) > 3.0 * est
+
+
 def test_positivity_reports_estimate_parts_and_kind(tmp_path):
     cfg = parse_config(
         json.dumps(
@@ -270,6 +324,32 @@ def test_cli_missing_config_file(tmp_path):
         text=True,
     )
     assert proc.returncode == EXIT_CONFIG
+
+
+def test_main_rejects_zero_threads(tmp_path, capsys):
+    assert main(["--config", str(tmp_path / "cfg.json"), "--threads", "0"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "--threads must be at least 1\n"
+
+
+def test_main_without_config_exits_two_and_help_exits_zero(capsys):
+    assert main([]) == EXIT_CONFIG
+    assert "--config" in capsys.readouterr().err
+    assert main(["--help"]) == EXIT_PASS
+    assert "--threads" in capsys.readouterr().out
+
+
+def test_main_verbose_prints_the_summary(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "sharp-constant", "kernel": {"dim": 3, "lambda": 1.0}}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--verbose"]) == EXIT_PASS
+    assert capsys.readouterr().out == (tmp_path / "out" / "summary.txt").read_text()
+
+
+def test_importing_the_cli_loads_no_numpy():
+    # --threads pins the BLAS/OpenMP pools through the environment, which
+    # works only if numpy is first imported after main has set it.
+    code = "import sys, invpos.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -101,6 +101,22 @@ def test_defect_oracle_finite_when_the_plane_is_off_a_cell_edge():
     assert abs(rep.oracle_value - rep.defect_via_g) <= 3.0 * rep.est_error
 
 
+@pytest.mark.parametrize("offset", [0.0, 0.3, 1.0, -0.75])
+def test_plane_with_normal_minus_one_gives_the_numbers_of_the_mirrored_field(offset):
+    # x -> -x maps f and {-x > t} onto f(-x) and {x > t}.  On a grid symmetric
+    # about 0 the oracle sees the same cells, so its value is the same float;
+    # the pair sums add the mirrored cells in another order.
+    kp = KernelParams(dim=1, lam=0.5)
+    g = box_grid([-16.0], [16.0], 256)
+    f = gaussian_field(g, [-1.5], 0.8)
+    down = positivity_defect(HalfSpace(normal=np.array([-1.0]), offset=offset), f, kp)
+    up = positivity_defect(HalfSpace(normal=np.array([1.0]), offset=offset), Field(g, f.values[::-1].copy()), kp)
+    assert down.oracle_value is not None
+    assert down.oracle_value == up.oracle_value
+    assert down.defect == pytest.approx(up.defect, rel=1e-14, abs=0)
+    assert down.defect_via_g == pytest.approx(up.defect_via_g, rel=1e-14, abs=0)
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_kernel_k_matches_bessel_closed_form(dim):
     # The half-space kernel K(xi, t) = 2 sin(pi (N - lambda)/2)
