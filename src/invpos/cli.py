@@ -41,6 +41,14 @@ _TOLERANCES = {
     "lizhu-check": {"cv_tol": 1e-3, "dev_tol": 1e-3},
 }
 
+# The region kinds each command reads; a region given to any other command is
+# a config error, not silently ignored.
+_REGIONS = {
+    "transform": ("ball", "halfspace"),
+    "positivity": ("ball", "halfspace"),
+    "hemiball": ("ball",),
+}
+
 
 class ConfigError(ValueError):
     """Invalid run configuration; maps to exit code 2."""
@@ -191,6 +199,10 @@ def parse_config(text: str) -> RunConfig:
             params = {"normal": normal, "offset": offset}
         else:
             raise ConfigError("region must hold exactly one of: ball, halfspace")
+        kinds = _REGIONS.get(command, ())
+        if kind not in kinds:
+            takes = f"takes only region.{' or region.'.join(kinds)}" if kinds else "takes no region"
+            raise ConfigError(f"command {command} {takes}, got region.{kind}")
         region = {kind: params}
 
     tolerances = doc.get("tolerances", {})
@@ -565,7 +577,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="invpos", description=__doc__, add_help=True)
     parser.add_argument("--config", required=True, help="path to a JSON run config")
     parser.add_argument("--out", default=".", help="output directory for report.csv and summary.txt")
-    parser.add_argument("--threads", type=int, default=1, help="BLAS/FFT thread count")
+    parser.add_argument("--threads", type=int, default=1, help="BLAS thread count; the FFTs always run on one thread")
     parser.add_argument("--verbose", action="store_true")
     try:
         args = parser.parse_args(argv)

@@ -10,7 +10,9 @@ is real and even: it is built on one octant of offsets, transformed once per
 grid shape, spacing and lambda one axis at a time on the real bins that the
 later axes leave, and a small cache keeps the last few spectra as real arrays
 with the half-spectrum weights and 1/M folded in.  The forward transform of a
-field skips the lines of the padded array that hold only zeros.  The singular
+field skips the lines of the padded array that hold only zeros, and writes
+into work arrays that each thread keeps for the last few padded sizes, so
+that a pair sum allocates no spectrum-sized array.  The singular
 self-cell and its near neighbours take cell-cell averages: closed forms in
 1D, and in 2D/3D a Gauss-Legendre product rule folded by its mirror and
 axis-swap symmetries, which leave about a quarter of the 3D node pairs.
@@ -21,6 +23,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,17 +209,56 @@ def _half_spectrum_weights(length: int) -> np.ndarray:
     return w
 
 
-def _padded_spectrum(values: np.ndarray, size) -> np.ndarray:
-    """rfftn of ``values`` zero-padded to ``size``, skipping the all-zero lines.
+def _half_shape(size) -> tuple:
+    """Shape of the rfftn of an array of shape ``size``."""
+    return tuple(size[:-1]) + (size[-1] // 2 + 1,)
 
-    The values fill one corner of the zero-filled half spectrum: the last
-    axis is transformed on the n_0 ... n_{N-2} lines that hold them, and each
-    earlier axis in place, only on the lines that the later transforms filled.
+
+# Padded sizes whose work arrays a thread keeps: the fine and coarse grids of
+# the last two shapes.  A 48^3 grid pads to 96^3, whose arrays take 22 MB.
+_WORK_SIZES = 4
+_work = threading.local()
+
+
+def _work_arrays(size):
+    """(spectrum, spectrum, product, product) work arrays of a padded ``size``, this thread's own.
+
+    Two complex arrays of shape ``_half_shape(size)`` and two real arrays
+    of that shape, allocated on first use and kept for the
+    last ``_WORK_SIZES`` sizes.  They never leave this module: every caller
+    reduces them to a number or copies out of them before it returns.
     """
-    spec = np.zeros(tuple(size[:-1]) + (size[-1] // 2 + 1,), dtype=complex)
-    spec[tuple(slice(0, n) for n in values.shape[:-1])] = sfft.rfft(values, n=size[-1], axis=-1)
+    kept = getattr(_work, "arrays", None)
+    if kept is None:
+        kept = _work.arrays = OrderedDict()
+    if size in kept:
+        kept.move_to_end(size)
+        return kept[size]
+    half = _half_shape(size)
+    kept[size] = arrays = (np.empty(half, dtype=complex), np.empty(half, dtype=complex), np.empty(half), np.empty(half))
+    if len(kept) > _WORK_SIZES:
+        kept.popitem(last=False)
+    return arrays
+
+
+def _padded_spectrum(values: np.ndarray, size, spec=None) -> np.ndarray:
+    """rfftn of ``values`` zero-padded to ``size``, written into the half spectrum ``spec``.
+
+    The values fill one corner of the half spectrum: the last axis is
+    transformed on the n_0 ... n_{N-2} lines that hold them, and each earlier
+    axis in place, only on the lines that the later transforms filled.  Before
+    the transform along an axis, its lines beyond the corner are zeroed; over
+    all axes these slabs are the whole padding.  Without ``spec`` a new array
+    is filled.
+    """
+    if spec is None:
+        spec = np.empty(_half_shape(size), dtype=complex)
+    corner = tuple(slice(0, n) for n in values.shape[:-1])
+    for axis, n in enumerate(values.shape[:-1]):
+        spec[corner[:axis] + (slice(n, None),)] = 0.0
+    spec[corner] = sfft.rfft(values, n=size[-1], axis=-1)
     for axis in range(values.ndim - 2, -1, -1):
-        sfft.fft(spec[tuple(slice(0, n) for n in values.shape[:axis])], axis=axis, overwrite_x=True)
+        sfft.fft(spec[corner[:axis]], axis=axis, overwrite_x=True)
     return spec
 
 
@@ -266,8 +309,11 @@ def apply_kernel(values: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     transform is left unscaled because the spectrum carries the 1/M.
     """
     size = _fast_shape(values.shape)
-    unweighted = spectrum / _half_spectrum_weights(size[-1])
-    conv = sfft.irfftn(_padded_spectrum(values, size) * unweighted, s=size, norm="forward")
+    spec, cwork, rwork, _ = _work_arrays(size)
+    _padded_spectrum(values, size, spec)
+    # A reflected kernel's spectrum is complex.
+    spec *= np.divide(spectrum, _half_spectrum_weights(size[-1]), out=cwork if np.iscomplexobj(spectrum) else rwork)
+    conv = sfft.irfftn(spec, s=size, norm="forward")
     return conv[tuple(slice(0, n) for n in values.shape)]
 
 
@@ -304,9 +350,13 @@ def _pair_sum(f: Field, g: Field, lam: float) -> float:
     spacing, dim = f.grid.spacing, f.dim
     spectrum = kernel_spectrum(f.grid.shape, spacing, lam)
     size = _fast_shape(f.grid.shape)
-    fs = _padded_spectrum(f.values, size)
-    gs = fs if g is f else _padded_spectrum(g.values, size)
-    off_diag = float(np.sum(spectrum * (fs.real * gs.real + fs.imag * gs.imag))) * spacing ** (2 * dim)
+    fs, gs, prod, tmp = _work_arrays(size)
+    _padded_spectrum(f.values, size, fs)
+    gs = fs if g is f else _padded_spectrum(g.values, size, gs)
+    np.multiply(fs.real, gs.real, out=prod)
+    prod += np.multiply(fs.imag, gs.imag, out=tmp)
+    prod *= spectrum
+    off_diag = float(np.sum(prod)) * spacing ** (2 * dim)
     diag = float(np.sum(f.values * g.values)) * _diag_cell_constant(dim, lam) * spacing ** (2 * dim - lam)
     return off_diag + diag
 

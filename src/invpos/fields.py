@@ -145,6 +145,17 @@ class ExtremizerSpec:
         return self.alpha * (self.beta + d2) ** (-self.power)
 
 
+_EPS = float(np.finfo(float).eps)
+
+
+class _AtRounding(Exception):
+    """Raised by ``fit_family``'s residual to stop MINPACK at the parameters it carries."""
+
+    def __init__(self, params):
+        super().__init__()
+        self.params = params
+
+
 def fit_family(values: np.ndarray, grid: Grid, power: float, alpha0: float, beta0: float, center0, max_nfev: int) -> tuple:
     """Levenberg-Marquardt fit of alpha (beta + |x - center|^2)^(-power) to samples.
 
@@ -162,8 +173,10 @@ def fit_family(values: np.ndarray, grid: Grid, power: float, alpha0: float, beta
     p share one evaluation of b and m.  With a Jacobian supplied, ``max_nfev``
     counts residual evaluations only; the budgets of the callers (400 in
     ``symmetrize.fit_extremizer``, 500 in ``lizhu.fit_invariant_density``)
-    lie far above the few evaluations an in-tree fit makes.  Returns
-    (alpha, beta, center).
+    lie far above the few evaluations an in-tree fit makes.  The fit stops at
+    the first p whose scaled residual is at rounding level, root mean square
+    at most the machine epsilon: MINPACK would go on rejecting steps there
+    until its step-size test stops it.  Returns (alpha, beta, center).
     """
     values = np.asarray(values, dtype=float).ravel()
     scale = np.max(np.abs(values))
@@ -181,7 +194,10 @@ def fit_family(values: np.ndarray, grid: Grid, power: float, alpha0: float, beta
         return last[key]
 
     def resid(params):
-        return (model(params)[2].ravel() - values) / scale
+        r = (model(params)[2].ravel() - values) / scale
+        if r @ r <= r.size * _EPS**2:
+            raise _AtRounding(params.copy())
+        return r
 
     def jac(params):
         deltas, b, m = model(params)
@@ -197,7 +213,10 @@ def fit_family(values: np.ndarray, grid: Grid, power: float, alpha0: float, beta
 
     x0 = np.concatenate([[np.log(alpha0), np.log(beta0)], center0])
     # Full output returns the last iterate, without a warning, when the budget runs out.
-    x = leastsq(resid, x0, Dfun=jac, full_output=True, col_deriv=True, ftol=1e-8, xtol=1e-8, gtol=1e-8, maxfev=max_nfev)[0]
+    try:
+        x = leastsq(resid, x0, Dfun=jac, full_output=True, col_deriv=True, ftol=1e-8, xtol=1e-8, gtol=1e-8, maxfev=max_nfev)[0]
+    except _AtRounding as stop:
+        x = stop.params
     return float(np.exp(x[0])), float(np.exp(x[1])), x[2:]
 
 
@@ -271,8 +290,12 @@ def _pull_back(f: Field, coords) -> np.ndarray:
     if np.any(inside):
         # Fractional indices relative to the cell centers; mode="nearest"
         # holds the edge value in the half cell between the outermost centers
-        # and the box edge.
-        t = [np.broadcast_to((c - (lo[k] + 0.5 * g.spacing)) / g.spacing, shape)[inside] for k, c in enumerate(coords)]
+        # and the box edge.  They are written into the (N, cells) array that
+        # map_coordinates reads, which saves the copy that stacking a list
+        # of per-axis arrays would make.
+        t = np.empty((g.dim, int(np.count_nonzero(inside))))
+        for k, c in enumerate(coords):
+            t[k] = np.broadcast_to((c - (lo[k] + 0.5 * g.spacing)) / g.spacing, shape)[inside]
         out[inside] = map_coordinates(f.values, t, order=1, mode="nearest")
     return out
 
@@ -420,14 +443,20 @@ def split_in_out(region, f: Field, kp: KernelParams) -> tuple:
 
 
 def coarsen(f: Field) -> Field:
-    """Block-average 2^N cells at a time onto a grid with twice the spacing."""
+    """Block-average 2^N cells at a time onto a grid with twice the spacing.
+
+    An odd last cell of an axis is dropped.  Each axis in turn takes the
+    mean of its cell pairs as 0.5 (a + b), the same floats as numpy's mean
+    (a + b) / 2, on strided views of the whole array.
+    """
     g = f.grid
     new_shape = tuple(n // 2 for n in g.shape)
     if any(n < 2 for n in new_shape):
         raise ValueError("grid too small to coarsen")
     v = f.values[tuple(slice(0, n * 2) for n in new_shape)]
     for axis in range(g.dim):
-        v = v.reshape(v.shape[:axis] + (new_shape[axis], 2) + v.shape[axis + 1 :]).mean(axis=axis + 1)
+        lead = (slice(None),) * axis
+        v = 0.5 * (v[lead + (slice(0, None, 2),)] + v[lead + (slice(1, None, 2),)])
     return Field(Grid(g.lo, g.spacing * 2, new_shape), v, tail=f.tail)
 
 

@@ -470,6 +470,37 @@ def test_unequal_grid_spacing_exits_two_with_its_message(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: grid must have equal spacing on every axis\n"
 
 
+@pytest.mark.parametrize(
+    "command, region, message",
+    [
+        ("energy", {"ball": {"radius": 1.0}}, "command energy takes no region, got region.ball"),
+        ("represent", {"halfspace": {}}, "command represent takes no region, got region.halfspace"),
+        ("symmetrize", {"ball": {"radius": 1.0}}, "command symmetrize takes no region, got region.ball"),
+        ("lizhu-check", {"halfspace": {"offset": 1.0}}, "command lizhu-check takes no region, got region.halfspace"),
+        ("sharp-constant", {"ball": {"radius": 1.0}}, "command sharp-constant takes no region, got region.ball"),
+        ("counterexample", {"halfspace": {}}, "command counterexample takes no region, got region.halfspace"),
+        ("hemiball", {"halfspace": {"offset": 1.0}}, "command hemiball takes only region.ball, got region.halfspace"),
+    ],
+)
+def test_a_region_the_command_does_not_read_exits_two(tmp_path, capsys, command, region, message):
+    # Each config is valid but for its region, so only the region is refused.
+    cfg = tmp_path / "cfg.json"
+    doc = dict(_SMALL, command=command, region=region)
+    assert parse_config(json.dumps(dict(_SMALL, command=command))).region is None
+    cfg.write_text(json.dumps(doc))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_hemiball_takes_a_ball_region(tmp_path):
+    doc = dict(_SMALL, command="hemiball", grid={"min": -8, "max": 8, "points": 64}, region={"ball": {"center": 0.5, "radius": 1.0}})
+    assert run(parse_config(json.dumps(doc)), str(tmp_path)) == EXIT_PASS
+    shifted = float(_report_row(tmp_path)["radius"])
+    assert run(parse_config(json.dumps(dict(doc, region=None))), str(tmp_path)) == EXIT_PASS
+    assert shifted != float(_report_row(tmp_path)["radius"])
+
+
 def test_overflowing_grid_width_exits_two_with_its_message(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(_SMALL, grid={"min": -1e308, "max": 1e308, "points": 16})))

@@ -253,6 +253,35 @@ def test_halfspace_coverage_matches_the_full_grid_formula(dim):
     assert slabs > len(planes) // 2
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_axis_normal_halfspace_coverage_matches_the_nd_body_bit_for_bit(dim):
+    g = _GRIDS[dim]
+    h = g.spacing
+    half_diag = 0.5 * h * np.sqrt(dim) + 0.5 * h / SUBSAMPLE
+    rng = np.random.default_rng(10 + dim)
+    planes = 0
+    for k in range(dim):
+        for scale in (1.0, -1.0, 0.5, -0.5, 3.0, float(rng.uniform(-2.0, 2.0))):
+            normal = np.zeros(dim)
+            normal[k] = scale
+            # Planes on cell edges and centres, off them, outside the grid
+            # on either side, and through the origin.
+            edges = g.lo[k] + 0.5 * h * np.arange(-3, 2 * g.shape[k] + 4)
+            offsets = [scale * x for x in edges] + [scale * x for x in rng.uniform(g.lo[k] - 1.0, g.hi[k] + 1.0, 12)] + [0.0]
+            for offset in offsets:
+                got = coverage._halfspace_coverage_axis(g, normal, offset, half_diag)
+                want = coverage._halfspace_coverage_nd(g, normal, offset, half_diag)
+                assert got.flags.writeable and np.array_equal(got, want), (normal, offset)
+                assert np.array_equal(halfspace_coverage(g, normal, offset), want)
+                planes += 1
+    # A -0.0 entry is a zero: the normal still lies along one axis.
+    normal = np.zeros(dim)
+    normal[0], normal[-1] = -0.0, 0.5
+    offset = 0.5 * float(g.lo[-1] + 2.5 * h)
+    assert np.array_equal(halfspace_coverage(g, normal, offset), coverage._halfspace_coverage_nd(g, normal, offset, half_diag))
+    assert planes > 100
+
+
 def test_box_coverage_partial_cells():
     g = box_grid([0.0], [1.0], 10)
     cov = box_coverage(g, [0.25], [0.65])

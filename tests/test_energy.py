@@ -336,3 +336,82 @@ def test_padded_spectrum_is_bit_identical_to_padded_ffts(shape):
         want = sfft.fft(want, n=size[axis], axis=axis)
     got = energy._padded_spectrum(values, size)
     assert got.shape == want.shape and np.array_equal(got, want)
+
+
+# --- the work arrays kept per padded size and thread ---
+
+
+def _fresh_pair_sum(f, g, lam):
+    """``_pair_sum`` on freshly allocated spectra, with the product formed in one expression."""
+    h, dim = f.grid.spacing, f.dim
+    size = energy._fast_shape(f.grid.shape)
+    fs = energy._padded_spectrum(f.values, size)
+    gs = fs if g is f else energy._padded_spectrum(g.values, size)
+    spectrum = energy.kernel_spectrum(f.grid.shape, h, lam)
+    off_diag = float(np.sum(spectrum * (fs.real * gs.real + fs.imag * gs.imag))) * h ** (2 * dim)
+    return off_diag + float(np.sum(f.values * g.values)) * energy._diag_cell_constant(dim, lam) * h ** (2 * dim - lam)
+
+
+def _fresh_apply_kernel(values, spectrum):
+    """``apply_kernel`` on a freshly allocated spectrum."""
+    size = energy._fast_shape(values.shape)
+    unweighted = spectrum / energy._half_spectrum_weights(size[-1])
+    conv = sfft.irfftn(energy._padded_spectrum(values, size) * unweighted, s=size, norm="forward")
+    return conv[tuple(slice(0, n) for n in values.shape)]
+
+
+def test_pair_sum_on_kept_work_arrays_matches_fresh_arrays_bit_for_bit():
+    # More padded sizes than are kept, interleaved, so that arrays are reused
+    # after other sizes, dropped and allocated again; a stale corner or
+    # padding from the last use of a size would show.
+    shapes = [(37,), (13, 9), (7, 6, 5), (64,), (16, 16), (12, 12, 12), (41, 8), (6, 7, 8)]
+    assert len({energy._fast_shape(s) for s in shapes}) > energy._WORK_SIZES
+    rng = np.random.default_rng(20)
+    lam = 0.7
+    for shape in shapes * 3 + shapes[::-1]:
+        grid = box_grid([0.0] * len(shape), [0.3 * n for n in shape], list(shape))
+        f = Field(grid, rng.standard_normal(shape))
+        g = Field(grid, rng.standard_normal(shape))
+        assert energy._pair_sum(f, f, lam) == _fresh_pair_sum(f, f, lam)
+        assert energy._pair_sum(f, g, lam) == _fresh_pair_sum(f, g, lam)
+        assert energy._pair_sum(g, f, lam) == _fresh_pair_sum(g, f, lam)
+        # apply_kernel shares the arrays, with the cell-averaged (real) and
+        # the reflected (complex) spectra.
+        for spectrum in (energy.kernel_spectrum(shape, 0.3, lam), energy.kernel_spectrum(shape, 0.3, lam, 0.15)):
+            assert np.array_equal(energy.apply_kernel(g.values, spectrum), _fresh_apply_kernel(g.values, spectrum))
+
+
+def test_pair_sum_work_arrays_are_per_thread():
+    # More threads than cores on one padded size, switching often: arrays
+    # shared between threads would mix their spectra.
+    import sys
+    import threading
+
+    shape, lam = (24, 24, 24), 1.3
+    grid = box_grid([0.0] * 3, [0.25 * n for n in shape], list(shape))
+    rng = np.random.default_rng(21)
+    fields = [Field(grid, rng.standard_normal(shape)) for _ in range(4)]
+    pairs = [(a, b) for a in fields for b in fields]
+    want = [_fresh_pair_sum(a, b, lam) for a, b in pairs]
+    start = threading.Barrier(4, timeout=60)
+    got = {}
+
+    def work(name):
+        order = np.random.default_rng(name).permutation(len(pairs))
+        start.wait()
+        got[name] = [(i, energy._pair_sum(*pairs[i], lam)) for _ in range(3) for i in order]
+
+    threads = [threading.Thread(target=work, args=(name,)) for name in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for name in range(4):
+        assert len(got[name]) == 3 * len(pairs)
+        assert all(value == want[i] for i, value in got[name])

@@ -361,6 +361,27 @@ def test_coarsen_preserves_cell_averages():
     assert np.allclose(c.values, [0.5, 2.5, 4.5, 6.5])
 
 
+def _reshape_mean_coarsen(values):
+    """Block averages by a reshape and numpy's mean per axis, after trimming each axis to an even length."""
+    v = values[tuple(slice(0, n - n % 2) for n in values.shape)]
+    for axis in range(v.ndim):
+        v = v.reshape(v.shape[:axis] + (v.shape[axis] // 2, 2) + v.shape[axis + 1 :]).mean(axis=axis + 1)
+    return v
+
+
+@pytest.mark.parametrize("shape", [(4,), (9,), (64,), (5, 4), (8, 11), (96, 96), (4, 5, 6), (7, 9, 5), (12, 12, 12)])
+def test_coarsen_matches_the_reshape_mean_bit_for_bit(shape):
+    rng = np.random.default_rng(len(shape))
+    g = Grid(np.array([-1.0] * len(shape)), 0.125, shape)
+    # Spread magnitudes, with subnormal values, where halving rounds, and
+    # pairs whose sum nears the largest float.
+    for scale in (1.0, 1e-310, 8e307):
+        values = rng.uniform(-1.0, 1.0, shape) * scale * 10.0 ** rng.uniform(-5, 0, size=shape)
+        c = coarsen(Field(g, values))
+        assert c.grid == Grid(g.lo, 0.25, tuple(n // 2 for n in shape))
+        assert np.array_equal(c.values, _reshape_mean_coarsen(values))
+
+
 def test_field_csv_round_trip_with_tail(tmp_path):
     g = box_grid([-3.0, -3.0], [3.0, 3.0], 16)
     rng = np.random.default_rng(0)
@@ -446,3 +467,31 @@ def test_fit_family_matches_the_finite_difference_fit_on_the_point_array(case):
     # The minimum leaves a residual (2 % noise, or a field the family does not hold).
     model = ExtremizerSpec(alpha, beta, center, power)(g.points())
     assert 0.01 < np.linalg.norm(model - values.ravel()) / np.linalg.norm(values) < 0.25
+
+
+def test_fit_family_stops_once_the_residual_is_at_rounding_level(tmp_path, monkeypatch):
+    # The exact density (1 + x^2)^(-1), read back from CSV, is a member of the
+    # family: the fit reaches a residual at rounding level within a few steps,
+    # where MINPACK alone goes on rejecting steps until its step-size test
+    # stops it, after 30 residual evaluations.
+    from invpos.lizhu import fit_invariant_density
+
+    g = box_grid([-20.0], [20.0], 2048)
+    x = g.axis_centers(0)
+    tail = ExtremizerSpec(alpha=1.0, beta=1.0, center=np.array([0.0]), power=1.0)
+    write_field_csv(Field(g, (1.0 + x**2) ** (-1.0), tail=tail), tmp_path / "density.csv")
+    v = read_field_csv(tmp_path / "density.csv")
+    calls = {"resid": 0}
+    leastsq = fields.leastsq
+
+    def counting(func, x0, **kw):
+        def resid(p):
+            calls["resid"] += 1
+            return func(p)
+
+        return leastsq(resid, x0, **kw)
+
+    monkeypatch.setattr(fields, "leastsq", counting)
+    fit = fit_invariant_density(v)
+    assert calls["resid"] <= 10
+    assert abs(fit.alpha - 1.0) <= 1e-12 and abs(fit.beta - 1.0) <= 1e-12 and abs(fit.center[0]) <= 1e-12
