@@ -185,9 +185,12 @@ def parse_config(text: str) -> RunConfig:
         kind, params = next(iter(region.items()))
         if kind == "ball":
             _check_keys(params, {"center", "radius"}, "region.ball")
-            if not (_is_number(params.get("radius")) and params["radius"] > 0):
+            # hemiball reads only the centre: the radius is what it computes.
+            if command == "hemiball" and "radius" in params:
+                raise ConfigError("command hemiball takes a region.ball without a radius, got region.ball.radius")
+            if command != "hemiball" and not (_is_number(params.get("radius")) and params["radius"] > 0):
                 raise ConfigError("region.ball.radius must be a positive number")
-            params = {"center": _per_axis(params.get("center", 0.0), dim, "region.ball.center"), "radius": params["radius"]}
+            params = {**params, "center": _per_axis(params.get("center", 0.0), dim, "region.ball.center")}
         elif kind == "halfspace":
             _check_keys(params, {"normal", "offset"}, "region.halfspace")
             normal = _per_axis(params.get("normal", [0.0] * (dim - 1) + [1.0]), dim, "region.halfspace.normal")

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import beta as beta_fn, betainc, hyp2f1
 
 from .fields import ExtremizerSpec, Field, Grid
-from .geometry import Ball
+from .geometry import Ball, signed_distance
 
 SUBSAMPLE = 3
 # Steps the half-mass search may take beyond plain halving to reach a given bracket width.
@@ -96,9 +96,12 @@ def bisect_increasing(
     return 0.5 * (lo + hi)
 
 
+@functools.lru_cache(maxsize=64)
 def _sub_steps(h: float) -> np.ndarray:
-    """Offsets of the SUBSAMPLE subsample points from a cell center along one axis."""
-    return (np.arange(SUBSAMPLE) - (SUBSAMPLE - 1) / 2.0) * (h / SUBSAMPLE)
+    """Offsets of the SUBSAMPLE subsample points from a cell center along one axis, read-only and built once per spacing."""
+    steps = (np.arange(SUBSAMPLE) - (SUBSAMPLE - 1) / 2.0) * (h / SUBSAMPLE)
+    steps.setflags(write=False)
+    return steps
 
 
 @functools.lru_cache(maxsize=64)
@@ -240,68 +243,35 @@ def halfspace_coverage(grid: Grid, normal, offset: float) -> np.ndarray:
     """Fraction of each cell inside {x . normal > offset}.
 
     Cells whose centres lie within half_diag of the plane get the mean of
-    the ramps of their subsample points; the others are 0 or 1.  A normal
-    along an axis of a grid of two or more dimensions takes
-    ``_halfspace_coverage_axis``, any other ``_halfspace_coverage_nd``; both
-    give the same floats.
-    """
-    normal = np.atleast_1d(normal)
-    half_diag = 0.5 * grid.spacing * np.sqrt(grid.dim) + 0.5 * grid.spacing / SUBSAMPLE
-    if grid.dim >= 2 and normal.shape == (grid.dim,) and np.count_nonzero(normal) == 1:
-        return _halfspace_coverage_axis(grid, normal, offset, half_diag)
-    return _halfspace_coverage_nd(grid, normal, offset, half_diag)
-
-
-def _halfspace_coverage_nd(grid: Grid, normal: np.ndarray, offset: float, half_diag: float) -> np.ndarray:
-    """``halfspace_coverage`` on the whole grid, for any normal.
-
-    The signed distance s = x . normal - offset of each cell centre is summed
-    from per-axis projections of the axis centres, and only the slab of cells
-    within half_diag of the plane is subsampled, from per-axis tables of the
-    subsample projections laid out as the rows of sub_offsets.
-    """
-    h = grid.spacing
-    xs = [grid.axis_centers(k) for k in range(grid.dim)]
-    s = sum((x * normal[k]).reshape((-1,) + (1,) * (grid.dim - 1 - k)) for k, x in enumerate(xs)) - offset
-    cov = np.where(s >= half_diag, 1.0, 0.0)
-    slab = np.abs(s) < half_diag
-    if slab.any():
-        terms = []
-        for k, (x, i) in enumerate(zip(xs, np.nonzero(slab))):
-            tab = (x[:, None] + _sub_steps(h)) * normal[k]
-            terms.append(tab[i].reshape((-1,) + (1,) * k + (SUBSAMPLE,) + (1,) * (grid.dim - 1 - k)))
-        ssub = (sum(terms) - offset).reshape(len(terms[0]), -1)
-        ramp = np.minimum(np.maximum(ssub / (h / SUBSAMPLE) + 0.5, 0.0), 1.0)
-        cov[slab] = ramp.sum(axis=1) / ramp.shape[1]
-    return cov
-
-
-def _halfspace_coverage_axis(grid: Grid, normal: np.ndarray, offset: float, half_diag: float) -> np.ndarray:
-    """``halfspace_coverage`` for a normal with one non-zero entry n_k, on a profile along axis k.
-
-    The other axes add only exact zeros to the sums of
-    ``_halfspace_coverage_nd``, so its signed distances are x_k n_k - offset,
-    and the subsample distances of a slab cell depend on the step along axis
-    k alone.  Each slab cell of the profile lays out its SUBSAMPLE ramps along
-    axis k in the rows of sub_offsets, and the rows are averaged with the
-    same numpy row sum.  The profile is broadcast to a writable array of the
-    grid's shape.
+    the ramps of their subsample points; the others are 0 or 1.  The signed
+    distances of the cell centres and of the subsample points are
+    ``signed_distance`` on per-axis arrays, so they keep size 1 on every
+    axis where n_k = 0: there the sum over all axes would add only exact
+    zeros.  The subsample ramps of each slab cell are copied along those
+    axes into the rows of sub_offsets and averaged with numpy's row sum, and
+    the result is broadcast to a writable array of the grid's shape.
     """
     h, dim = grid.spacing, grid.dim
-    k = int(np.flatnonzero(normal)[0])
-    x = grid.axis_centers(k)
-    s = x * normal[k] - offset
-    profile = np.where(s >= half_diag, 1.0, 0.0)
+    axes = grid.open_axes
+    s = signed_distance(normal, offset, axes)
+    half_diag = 0.5 * h * math.sqrt(dim) + 0.5 * h / SUBSAMPLE
+    cov = np.where(s >= half_diag, 1.0, 0.0)
     slab = np.abs(s) < half_diag
-    if slab.any():
-        ssub = (x[slab, None] + _sub_steps(h)) * normal[k] - offset
-        ramp = np.minimum(np.maximum(ssub / (h / SUBSAMPLE) + 0.5, 0.0), 1.0)
-        rows = ramp.reshape((-1,) + (1,) * k + (SUBSAMPLE,) + (1,) * (dim - 1 - k))
-        rows = np.broadcast_to(rows, (len(ramp),) + (SUBSAMPLE,) * dim).reshape(len(ramp), -1)
-        profile[slab] = rows.sum(axis=1) / rows.shape[1]
-    cov = np.empty(grid.shape)
-    cov[...] = profile.reshape((-1,) + (1,) * (dim - 1 - k))
-    return cov
+    cells = np.nonzero(slab)
+    if cells[0].size:
+        # Coordinates of subsample (a_0, ..., a_{N-1}) of slab cell c along
+        # axis k, x_k(c) + step_{a_k}, as open arrays over (c, a_0, ..., a_{N-1}).
+        steps = _sub_steps(h)
+        sub = [
+            (x.ravel()[i, None] + steps).reshape((-1,) + (1,) * k + (SUBSAMPLE,) + (1,) * (dim - 1 - k)) if n else x
+            for k, (x, i, n) in enumerate(zip(axes, cells, np.atleast_1d(normal).tolist()))
+        ]
+        ramp = np.minimum(np.maximum(signed_distance(normal, offset, sub) / (h / SUBSAMPLE) + 0.5, 0.0), 1.0)
+        rows = np.broadcast_to(ramp, (len(ramp),) + (SUBSAMPLE,) * dim).reshape(len(ramp), -1)
+        cov[slab] = rows.sum(axis=1) / rows.shape[1]
+    out = np.empty(grid.shape)
+    out[...] = cov
+    return out
 
 
 def box_coverage(grid: Grid, lo, hi) -> np.ndarray:

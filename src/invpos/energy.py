@@ -241,18 +241,15 @@ def _work_arrays(size):
     return arrays
 
 
-def _padded_spectrum(values: np.ndarray, size, spec=None) -> np.ndarray:
+def _padded_spectrum(values: np.ndarray, size, spec: np.ndarray) -> np.ndarray:
     """rfftn of ``values`` zero-padded to ``size``, written into the half spectrum ``spec``.
 
     The values fill one corner of the half spectrum: the last axis is
     transformed on the n_0 ... n_{N-2} lines that hold them, and each earlier
     axis in place, only on the lines that the later transforms filled.  Before
     the transform along an axis, its lines beyond the corner are zeroed; over
-    all axes these slabs are the whole padding.  Without ``spec`` a new array
-    is filled.
+    all axes these slabs are the whole padding.
     """
-    if spec is None:
-        spec = np.empty(_half_shape(size), dtype=complex)
     corner = tuple(slice(0, n) for n in values.shape[:-1])
     for axis, n in enumerate(values.shape[:-1]):
         spec[corner[:axis] + (slice(n, None),)] = 0.0

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.ndimage import map_coordinates
 from scipy.optimize import leastsq
 
-from .geometry import Ball, HalfSpace, inversion_factor, reflect_point
+from .geometry import Ball, HalfSpace, inversion_factor, signed_distance
 
 
 @dataclass(frozen=True)
@@ -99,6 +99,14 @@ class Grid:
         n = self.shape[axis]
         return self.lo[axis] + self.spacing * (np.arange(n) + 0.5)
 
+    @functools.cached_property
+    def open_axes(self) -> tuple:
+        """The cell centres of each axis as read-only open arrays, axis k of shape (1, ..., n_k, ..., 1), built once per grid."""
+        axes = np.ix_(*(self.axis_centers(k) for k in range(self.dim)))
+        for x in axes:
+            x.setflags(write=False)
+        return axes
+
     def points(self) -> np.ndarray:
         """All cell centers, shape (size, dim), row-major order."""
         axes = [self.axis_centers(k) for k in range(self.dim)]
@@ -146,6 +154,9 @@ class ExtremizerSpec:
 
 
 _EPS = float(np.finfo(float).eps)
+# Residual evaluations ``fit_family`` may make: far above the 4 to 8 that an
+# in-tree fit makes, so the budget never ends one.
+_FIT_EVALS = 500
 
 
 class _AtRounding(Exception):
@@ -156,7 +167,7 @@ class _AtRounding(Exception):
         self.params = params
 
 
-def fit_family(values: np.ndarray, grid: Grid, power: float, alpha0: float, beta0: float, center0, max_nfev: int) -> tuple:
+def fit_family(values: np.ndarray, grid: Grid, power: float, alpha0: float, beta0: float, center0) -> tuple:
     """Levenberg-Marquardt fit of alpha (beta + |x - center|^2)^(-power) to samples.
 
     ``values`` are taken at the cell centres of ``grid`` (grid-shaped or
@@ -170,17 +181,15 @@ def fit_family(values: np.ndarray, grid: Grid, power: float, alpha0: float, beta
         dm/dp_0 = m,  dm/dp_1 = -power m beta / b,  dm/dc_k = 2 power m (x_k - c_k) / b,
 
     each divided by the residual scale.  The residual and the Jacobian at one
-    p share one evaluation of b and m.  With a Jacobian supplied, ``max_nfev``
-    counts residual evaluations only; the budgets of the callers (400 in
-    ``symmetrize.fit_extremizer``, 500 in ``lizhu.fit_invariant_density``)
-    lie far above the few evaluations an in-tree fit makes.  The fit stops at
-    the first p whose scaled residual is at rounding level, root mean square
-    at most the machine epsilon: MINPACK would go on rejecting steps there
-    until its step-size test stops it.  Returns (alpha, beta, center).
+    p share one evaluation of b and m.  At most ``_FIT_EVALS`` residuals are
+    evaluated.  The fit stops at the first p whose scaled residual is at
+    rounding level, root mean square at most the machine epsilon: MINPACK
+    would go on rejecting steps there until its step-size test stops it.
+    Returns (alpha, beta, center).
     """
     values = np.asarray(values, dtype=float).ravel()
     scale = np.max(np.abs(values))
-    coords = _axis_coords(grid)
+    coords = grid.open_axes
     last = {}
 
     def model(params):
@@ -214,7 +223,7 @@ def fit_family(values: np.ndarray, grid: Grid, power: float, alpha0: float, beta
     x0 = np.concatenate([[np.log(alpha0), np.log(beta0)], center0])
     # Full output returns the last iterate, without a warning, when the budget runs out.
     try:
-        x = leastsq(resid, x0, Dfun=jac, full_output=True, col_deriv=True, ftol=1e-8, xtol=1e-8, gtol=1e-8, maxfev=max_nfev)[0]
+        x = leastsq(resid, x0, Dfun=jac, full_output=True, col_deriv=True, ftol=1e-8, xtol=1e-8, gtol=1e-8, maxfev=_FIT_EVALS)[0]
     except _AtRounding as stop:
         x = stop.params
     return float(np.exp(x[0])), float(np.exp(x[1])), x[2:]
@@ -264,11 +273,6 @@ def lp_norm(f: Field, p: float) -> float:
     return float(np.sum(np.abs(f.values) ** p) ** (1.0 / p) * f.grid.cell_volume() ** (1.0 / p))
 
 
-def _axis_coords(g: Grid) -> list:
-    """The cell-centre coordinates of each axis, as open arrays that broadcast to g.shape."""
-    return [g.axis_centers(k).reshape((-1,) + (1,) * (g.dim - 1 - k)) for k in range(g.dim)]
-
-
 def _pull_back(f: Field, coords) -> np.ndarray:
     """Multilinear interpolation of ``f`` at the points with axis-k coordinates ``coords[k]``.
 
@@ -314,7 +318,7 @@ def eval_field(f: Field, pts) -> np.ndarray:
 
 def _center_deltas(b: Ball, g: Grid) -> tuple:
     """(x_k - c_k of the cell centres as open arrays, their squared distances from c summed in axis order, the distances)."""
-    deltas = [x - c for x, c in zip(_axis_coords(g), np.broadcast_to(b.center, (g.dim,)))]
+    deltas = [x - c for x, c in zip(g.open_axes, np.broadcast_to(b.center, (g.dim,)))]
     dist2 = sum(dk * dk for dk in deltas)
     return deltas, dist2, np.sqrt(dist2)
 
@@ -346,52 +350,50 @@ def apply_inversion(b: Ball, f: Field, kp: KernelParams, centred=None) -> Field:
 _EDGE_TOL = 1e-9
 
 
-def _axis_normal(h: HalfSpace, grid: Grid):
-    """(axis k, sign) when the normal of H is +-e_k on the grid's axes, else None."""
-    axes = np.flatnonzero(h.normal)
-    if h.dim != grid.dim or len(axes) != 1 or abs(h.normal[axes[0]]) != 1.0:
-        return None
-    return int(axes[0]), float(h.normal[axes[0]])
+def _edge_mirror(h: HalfSpace, grid: Grid):
+    """(k, mirror index of each cell along axis k) when H maps the grid's cell centres onto each other, else None.
 
-
-def _edge_mirror(h: HalfSpace, grid: Grid, k: int):
-    """Mirror index of each cell along axis k when H, normal to axis k, maps the grid onto itself, else None.
-
-    That is when the plane lies on a cell edge e of the box, its faces
-    included: the mirror of cell j is then cell 2e - 1 - j.  Python floats
-    carry a far-off plane to inf, not a warning.
+    That is when the normal of H is +-e_k and its plane lies on a cell edge e
+    of axis k, the faces of the box included: the mirror of cell j is then
+    cell 2e - 1 - j.  Python floats carry a far-off plane to inf, not a
+    warning.
     """
+    axes = np.flatnonzero(h.normal)
+    if len(axes) != 1 or abs(h.normal[axes[0]]) != 1.0:
+        return None
+    k = int(axes[0])
     edge = (float(h.normal[k]) * h.offset - float(grid.lo[k])) / float(grid.spacing)
     if not -_EDGE_TOL <= edge <= grid.shape[k] + _EDGE_TOL or abs(edge - round(edge)) > _EDGE_TOL:
         return None
-    return 2 * round(edge) - 1 - np.arange(grid.shape[k])
+    return k, 2 * round(edge) - 1 - np.arange(grid.shape[k])
 
 
 def apply_reflection(h: HalfSpace, f: Field) -> Field:
     """Lifted reflection f(Theta_H(x)) on f's grid.
 
-    A plane normal to an axis moves only that axis: x . n = +-x_k exactly,
-    so the reflected coordinates are the floats of ``reflect_point``, built
-    on that axis alone.  On a cell edge it maps cell centres onto cell
+    The mirrored coordinates x_k - 2 s n_k, with s the ``signed_distance``
+    of the cell centres, are built on the grid's open per-axis arrays, the
+    floats of ``reflect_point``; an axis where n_k = 0 keeps its own array.
+    A plane normal to an axis and on a cell edge maps cell centres onto cell
     centres, so the pullback is an index flip; a cell whose mirror leaves the
-    grid takes the tail at its reflected point, or 0, as ``eval_field`` would.
-    Every other plane interpolates.
+    grid takes the tail at its reflected point, or 0, as the interpolation
+    would.  Every other plane interpolates.
     """
     g = f.grid
-    axis = _axis_normal(h, g)
-    if axis is None:
-        return Field(g, eval_field(f, reflect_point(h, g.points())).reshape(g.shape))
-    k, sign = axis
-    coords = _axis_coords(g)
-    coords[k] = coords[k] + 2.0 * (h.offset - sign * coords[k]) * sign
-    src = _edge_mirror(h, g, k)
-    if src is None:
+    coords = list(g.open_axes)
+    s = signed_distance(h.normal, h.offset, coords)
+    for k, n in enumerate(h.normal.tolist()):
+        if n != 0:
+            coords[k] = coords[k] - 2.0 * s * n
+    mirror = _edge_mirror(h, g)
+    if mirror is None:
         return Field(g, _pull_back(f, coords))
+    k, src = mirror
     n = g.shape[k]
     vals = np.take(f.values, np.clip(src, 0, n - 1), axis=k)
     outside = np.flatnonzero((src < 0) | (src >= n))
     if outside.size:
-        coords[k] = coords[k][outside]
+        coords[k] = np.take(coords[k], outside, axis=k)
         vals[(slice(None),) * k + (outside,)] = _pull_back(f, coords)
     return Field(g, vals)
 
@@ -399,16 +401,13 @@ def apply_reflection(h: HalfSpace, f: Field) -> Field:
 def region_mask(region, grid: Grid) -> np.ndarray:
     """Boolean mask of cell centers lying in the region, shape = grid.shape.
 
-    A ball and a half-space normal to an axis are decided on per-axis
-    arrays, with the floats of ``region.contains`` on the point array.
+    Decided on the grid's open per-axis arrays, with the floats of
+    ``region.contains`` on the point array: a ball by its distances, a
+    half-space by its ``signed_distance`` s > 0.
     """
     if isinstance(region, Ball):
         return _center_deltas(region, grid)[2] < region.radius
-    axis = _axis_normal(region, grid) if isinstance(region, HalfSpace) else None
-    if axis is None:
-        return region.contains(grid.points()).reshape(grid.shape)
-    k, sign = axis
-    inside = sign * _axis_coords(grid)[k] > region.offset
+    inside = signed_distance(region.normal, region.offset, grid.open_axes) > 0
     return np.broadcast_to(inside, grid.shape).copy()
 
 

@@ -93,7 +93,7 @@ class HalfSpace:
 
     def contains(self, x) -> np.ndarray:
         x = _as_points(x)
-        return x @ self.normal > self.offset
+        return signed_distance(self.normal, self.offset, np.moveaxis(x, -1, 0)) > 0
 
 
 def invert_point(b: Ball, x) -> np.ndarray:
@@ -120,8 +120,32 @@ def inversion_factor(b: Ball, dist2) -> np.ndarray:
     return b.radius**2 / dist2
 
 
+def signed_distance(normal, offset: float, coords):
+    """x . normal - offset of the points whose axis-k coordinates are ``coords[k]``.
+
+    The products x_k n_k are summed in axis order, skipping every axis where
+    n_k = 0, which would add only exact zeros.  The coordinate arrays
+    broadcast together: on a grid's open per-axis arrays the result keeps
+    size 1 on every axis the plane does not touch.  Every half-space routine
+    takes its sides, distances and mirrors from here, so they all see the
+    same floats.  A normal whose length is not the number of coordinates,
+    or that is zero, raises ValueError.
+    """
+    normal = np.atleast_1d(normal)
+    if normal.shape != (len(coords),):
+        raise ValueError(f"a normal of dimension {normal.size} for points of dimension {len(coords)}")
+    s = None
+    for x, n in zip(coords, normal.tolist()):
+        if n != 0:
+            s = x * n if s is None else s + x * n
+    if s is None:
+        raise ValueError("a half-space normal must be non-zero")
+    return s - offset
+
+
 def reflect_point(h: HalfSpace, x) -> np.ndarray:
-    """Reflection through the boundary hyperplane of ``h``."""
+    """Reflection through the boundary hyperplane of ``h``: x - 2 s n with s = ``signed_distance``."""
     x = _as_points(x)
-    return x + 2.0 * (h.offset - x @ h.normal)[..., None] * h.normal
+    s = signed_distance(h.normal, h.offset, np.moveaxis(x, -1, 0))
+    return x - (2.0 * s)[..., None] * h.normal
 

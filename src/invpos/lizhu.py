@@ -216,7 +216,7 @@ def fit_invariant_density(v: Field) -> InvariantDensityFit:
     center0 = (vals @ pts) / vals.sum()
     beta0 = max(half_mass_radius(v, center0, total), 1e-6) ** 2
     alpha0 = max(float(vals.max()), 1e-300) * beta0**n
-    alpha, beta, center = fit_family(vals, g, n, alpha0, beta0, center0, max_nfev=500)
+    alpha, beta, center = fit_family(vals, g, n, alpha0, beta0, center0)
     if not np.isfinite(alpha) or not np.isfinite(beta):
         raise RuntimeError("degenerate invariant-density fit")
     model = ExtremizerSpec(alpha, beta, center, n)(pts)

@@ -154,7 +154,7 @@ def fit_extremizer(f: Field, kp: KernelParams) -> ExtremizerFit:
     power = kp.lift_power / 2.0
     alpha0 = float(np.max(f.values)) * beta0**power
     pts = f.grid.points()
-    alpha, beta, center = fit_family(f.values, f.grid, power, max(alpha0, 1e-12), beta0, y0, max_nfev=400)
+    alpha, beta, center = fit_family(f.values, f.grid, power, max(alpha0, 1e-12), beta0, y0)
     model = Field(f.grid, ExtremizerSpec(alpha, beta, center, power)(pts).reshape(f.grid.shape))
     diff = Field(f.grid, model.values - f.values)
     err = lp_norm(diff, kp.p) / lp_norm(f, kp.p)

@@ -155,7 +155,7 @@ def test_hemiball_command_spreads_a_numeric_centre_over_every_axis(tmp_path):
         "kernel": {"dim": 2, "lambda": 1.0},
         "grid": {"min": -4, "max": 4, "points": 48},
         "function": {"family": "gaussian"},
-        "region": {"ball": {"center": 0.5, "radius": 1.0}},
+        "region": {"ball": {"center": 0.5}},
     }
     assert run(parse_config(json.dumps(doc)), str(tmp_path / "scalar")) == EXIT_PASS
     doc["region"]["ball"]["center"] = [0.5, 0.5]
@@ -178,7 +178,7 @@ _GAUSS_2D = {"family": "gaussian", "center": [0.5, -0.25]}
         ("energy", {"family": "indicator", "lo": -1.5}, None, ("function", "lo"), -1.5),
         ("energy", {"family": "indicator", "hi": 2.0}, None, ("function", "hi"), 2.0),
         ("positivity", _GAUSS_2D, {"ball": {"center": 0.5, "radius": 1.5}}, ("region", "ball", "center"), 0.5),
-        ("hemiball", _GAUSS_2D, {"ball": {"center": 0.5, "radius": 1.5}}, ("region", "ball", "center"), 0.5),
+        ("hemiball", _GAUSS_2D, {"ball": {"center": 0.5}}, ("region", "ball", "center"), 0.5),
         ("positivity", _GAUSS_2D, {"halfspace": {"normal": 1, "offset": 0.25}}, ("region", "halfspace", "normal"), 1),
     ],
     ids=["grid.min", "grid.max", "grid.points", "extremizer-center", "gaussian-center", "function.lo", "function.hi",
@@ -494,11 +494,28 @@ def test_a_region_the_command_does_not_read_exits_two(tmp_path, capsys, command,
 
 
 def test_hemiball_takes_a_ball_region(tmp_path):
-    doc = dict(_SMALL, command="hemiball", grid={"min": -8, "max": 8, "points": 64}, region={"ball": {"center": 0.5, "radius": 1.0}})
+    doc = dict(_SMALL, command="hemiball", grid={"min": -8, "max": 8, "points": 64}, region={"ball": {"center": 0.5}})
     assert run(parse_config(json.dumps(doc)), str(tmp_path)) == EXIT_PASS
     shifted = float(_report_row(tmp_path)["radius"])
     assert run(parse_config(json.dumps(dict(doc, region=None))), str(tmp_path)) == EXIT_PASS
     assert shifted != float(_report_row(tmp_path)["radius"])
+
+
+def test_a_radius_given_to_hemiball_exits_two(tmp_path, capsys):
+    # hemiball computes the radius, so a given one would be silently ignored.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(_SMALL, command="hemiball", region={"ball": {"center": 0.5, "radius": 1.0}})))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: command hemiball takes a region.ball without a radius, got region.ball.radius\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["transform", "positivity"])
+def test_a_ball_without_a_radius_exits_two_where_the_command_reads_it(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(_SMALL, command=command, region={"ball": {"center": 0.5}})))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: region.ball.radius must be a positive number\n"
 
 
 def test_overflowing_grid_width_exits_two_with_its_message(tmp_path, capsys):

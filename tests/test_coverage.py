@@ -253,11 +253,30 @@ def test_halfspace_coverage_matches_the_full_grid_formula(dim):
     assert slabs > len(planes) // 2
 
 
+def _nd_halfspace_coverage(grid, normal, offset):
+    """The half-space coverage summed over every axis, zero entries of the normal included, as the N-D body had it."""
+    h = grid.spacing
+    half_diag = 0.5 * h * np.sqrt(grid.dim) + 0.5 * h / SUBSAMPLE
+    steps = (np.arange(SUBSAMPLE) - (SUBSAMPLE - 1) / 2.0) * (h / SUBSAMPLE)
+    xs = [grid.axis_centers(k) for k in range(grid.dim)]
+    s = sum((x * normal[k]).reshape((-1,) + (1,) * (grid.dim - 1 - k)) for k, x in enumerate(xs)) - offset
+    cov = np.where(s >= half_diag, 1.0, 0.0)
+    slab = np.abs(s) < half_diag
+    if slab.any():
+        terms = []
+        for k, (x, i) in enumerate(zip(xs, np.nonzero(slab))):
+            tab = (x[:, None] + steps) * normal[k]
+            terms.append(tab[i].reshape((-1,) + (1,) * k + (SUBSAMPLE,) + (1,) * (grid.dim - 1 - k)))
+        ssub = (sum(terms) - offset).reshape(len(terms[0]), -1)
+        ramp = np.minimum(np.maximum(ssub / (h / SUBSAMPLE) + 0.5, 0.0), 1.0)
+        cov[slab] = ramp.sum(axis=1) / ramp.shape[1]
+    return cov
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_axis_normal_halfspace_coverage_matches_the_nd_body_bit_for_bit(dim):
     g = _GRIDS[dim]
     h = g.spacing
-    half_diag = 0.5 * h * np.sqrt(dim) + 0.5 * h / SUBSAMPLE
     rng = np.random.default_rng(10 + dim)
     planes = 0
     for k in range(dim):
@@ -269,17 +288,48 @@ def test_axis_normal_halfspace_coverage_matches_the_nd_body_bit_for_bit(dim):
             edges = g.lo[k] + 0.5 * h * np.arange(-3, 2 * g.shape[k] + 4)
             offsets = [scale * x for x in edges] + [scale * x for x in rng.uniform(g.lo[k] - 1.0, g.hi[k] + 1.0, 12)] + [0.0]
             for offset in offsets:
-                got = coverage._halfspace_coverage_axis(g, normal, offset, half_diag)
-                want = coverage._halfspace_coverage_nd(g, normal, offset, half_diag)
-                assert got.flags.writeable and np.array_equal(got, want), (normal, offset)
-                assert np.array_equal(halfspace_coverage(g, normal, offset), want)
+                got = halfspace_coverage(g, normal, offset)
+                assert got.flags.writeable and np.array_equal(got, _nd_halfspace_coverage(g, normal, offset)), (normal, offset)
                 planes += 1
     # A -0.0 entry is a zero: the normal still lies along one axis.
     normal = np.zeros(dim)
     normal[0], normal[-1] = -0.0, 0.5
     offset = 0.5 * float(g.lo[-1] + 2.5 * h)
-    assert np.array_equal(halfspace_coverage(g, normal, offset), coverage._halfspace_coverage_nd(g, normal, offset, half_diag))
+    assert np.array_equal(halfspace_coverage(g, normal, offset), _nd_halfspace_coverage(g, normal, offset))
     assert planes > 100
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_halfspace_coverage_with_zero_normal_entries_matches_the_nd_body_bit_for_bit(dim):
+    # Skipping an axis where n_k = 0 leaves out only exact zeros, for any
+    # normal, not only for one along an axis.
+    g = _GRIDS[dim]
+    rng = np.random.default_rng(20 + dim)
+    mid, span = 0.5 * (g.lo + g.hi), float(np.max(g.hi - g.lo))
+    slabs = 0
+    for _ in range(300):
+        normal = rng.normal(size=dim) * rng.choice([0.0, -0.0, 1.0], size=dim)
+        if not np.any(normal):
+            normal[rng.integers(dim)] = rng.uniform(0.5, 2.0)
+        offset = float(mid @ normal + rng.uniform(-0.6, 0.6) * span * np.max(np.abs(normal)))
+        got, want = halfspace_coverage(g, normal, offset), _nd_halfspace_coverage(g, normal, offset)
+        assert got.shape == g.shape and got.flags.writeable and np.array_equal(got, want), (normal, offset)
+        slabs += np.any((want > 0.0) & (want < 1.0))
+    assert slabs > 200
+
+
+@pytest.mark.parametrize(
+    "dim, normal, message",
+    [
+        (1, [0.0, 1.0], "dimension 2 for points of dimension 1"),
+        (3, [0.6, 0.8], "dimension 2 for points of dimension 3"),
+        (2, [0.0, -0.0], "non-zero"),
+    ],
+    ids=["2-D-on-1-D", "2-D-on-3-D", "zero"],
+)
+def test_halfspace_coverage_rejects_a_normal_of_the_wrong_length_or_zero(dim, normal, message):
+    with pytest.raises(ValueError, match=message):
+        halfspace_coverage(_GRIDS[dim], np.array(normal), 0.3)
 
 
 def test_box_coverage_partial_cells():

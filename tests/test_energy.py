@@ -334,7 +334,7 @@ def test_padded_spectrum_is_bit_identical_to_padded_ffts(shape):
     want = sfft.rfft(values, n=size[-1], axis=-1)
     for axis in range(len(shape) - 2, -1, -1):
         want = sfft.fft(want, n=size[axis], axis=axis)
-    got = energy._padded_spectrum(values, size)
+    got = energy._padded_spectrum(values, size, np.empty(energy._half_shape(size), dtype=complex))
     assert got.shape == want.shape and np.array_equal(got, want)
 
 
@@ -345,8 +345,8 @@ def _fresh_pair_sum(f, g, lam):
     """``_pair_sum`` on freshly allocated spectra, with the product formed in one expression."""
     h, dim = f.grid.spacing, f.dim
     size = energy._fast_shape(f.grid.shape)
-    fs = energy._padded_spectrum(f.values, size)
-    gs = fs if g is f else energy._padded_spectrum(g.values, size)
+    fs = energy._padded_spectrum(f.values, size, np.empty(energy._half_shape(size), dtype=complex))
+    gs = fs if g is f else energy._padded_spectrum(g.values, size, np.empty(energy._half_shape(size), dtype=complex))
     spectrum = energy.kernel_spectrum(f.grid.shape, h, lam)
     off_diag = float(np.sum(spectrum * (fs.real * gs.real + fs.imag * gs.imag))) * h ** (2 * dim)
     return off_diag + float(np.sum(f.values * g.values)) * energy._diag_cell_constant(dim, lam) * h ** (2 * dim - lam)
@@ -356,7 +356,8 @@ def _fresh_apply_kernel(values, spectrum):
     """``apply_kernel`` on a freshly allocated spectrum."""
     size = energy._fast_shape(values.shape)
     unweighted = spectrum / energy._half_spectrum_weights(size[-1])
-    conv = sfft.irfftn(energy._padded_spectrum(values, size) * unweighted, s=size, norm="forward")
+    spec = energy._padded_spectrum(values, size, np.empty(energy._half_shape(size), dtype=complex))
+    conv = sfft.irfftn(spec * unweighted, s=size, norm="forward")
     return conv[tuple(slice(0, n) for n in values.shape)]
 
 

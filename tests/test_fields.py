@@ -332,6 +332,18 @@ def test_oblique_plane_mask_matches_the_point_array():
         assert np.array_equal(apply_reflection(h, f).values, _interpolated_reflection(h, f))
 
 
+def test_region_mask_rejects_a_plane_of_another_dimension():
+    g = Grid(lo=np.zeros(3), spacing=0.5, shape=(4, 5, 6))
+    with pytest.raises(ValueError, match="dimension 2 for points of dimension 3"):
+        fields.region_mask(HalfSpace(np.array([0.6, 0.8]), 0.1), g)
+
+
+def test_apply_reflection_rejects_a_plane_of_another_dimension():
+    f = _pullback_field(1, True)
+    with pytest.raises(ValueError, match="dimension 2 for points of dimension 1"):
+        apply_reflection(HalfSpace(np.array([0.0, 1.0]), 0.3), f)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_inversion_in_a_huge_ball_raises(dim):
     # Cells within CENTER_CUTOFF r = 1 of the centre are not masked, and 1e300 squared overflows.
@@ -459,7 +471,7 @@ def test_fit_family_matches_the_finite_difference_fit_on_the_point_array(case):
     values, g, power = case()
     center0 = (values.ravel() @ g.points()) / values.sum()
     start = (float(values.max()), 1.0, center0)
-    alpha, beta, center = fields.fit_family(values, g, power, *start, max_nfev=400)
+    alpha, beta, center = fields.fit_family(values, g, power, *start)
     ref_alpha, ref_beta, ref_center = _finite_difference_fit(values, g, power, *start, max_nfev=400)
     assert abs(alpha - ref_alpha) <= 1e-6 * ref_alpha
     assert abs(beta - ref_beta) <= 1e-6 * ref_beta

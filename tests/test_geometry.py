@@ -10,6 +10,7 @@ from invpos.geometry import (
     HalfSpace,
     invert_point,
     reflect_point,
+    signed_distance,
     unit_vector,
 )
 
@@ -62,6 +63,39 @@ def test_region_contains():
     h = HalfSpace(normal=np.array([1.0]), offset=0.0)
     assert bool(h.contains(np.array([[0.5]]))[0])
     assert not bool(h.contains(np.array([[-0.5]]))[0])
+
+
+def test_signed_distance_skips_the_axes_the_plane_does_not_touch():
+    rng = np.random.default_rng(21)
+    axes = [rng.normal(size=n).reshape((1,) * k + (n,) + (1,) * (2 - k)) for k, n in enumerate((4, 5, 6))]
+    s = signed_distance(np.array([0.6, 0.0, -0.8]), 0.25, axes)
+    assert s.shape == (4, 1, 6)
+    assert np.array_equal(s, (axes[0] * 0.6 + axes[2] * -0.8) - 0.25)
+    # The point maps use the same floats as the per-axis arrays.
+    h = HalfSpace(np.array([0.6, 0.0, -0.8]), 0.25)
+    pts = np.stack(np.broadcast_arrays(*axes), axis=-1)
+    assert np.array_equal(h.contains(pts), np.broadcast_to(s > 0, pts.shape[:-1]))
+    assert np.array_equal(reflect_point(h, pts)[..., 0], np.broadcast_to(axes[0] - 2.0 * s * 0.6, pts.shape[:-1]))
+
+
+@pytest.mark.parametrize(
+    "normal, dim, message",
+    [
+        ([0.0, 1.0], 1, "dimension 2 for points of dimension 1"),
+        ([0.6, 0.8], 3, "dimension 2 for points of dimension 3"),
+        ([0.0, -0.0], 2, "non-zero"),
+    ],
+    ids=["2-D-on-1-D", "2-D-on-3-D", "zero"],
+)
+def test_signed_distance_rejects_a_normal_of_another_dimension_or_zero(normal, dim, message):
+    with pytest.raises(ValueError, match=message):
+        signed_distance(np.array(normal), 0.0, list(np.zeros((dim, 3))))
+    if any(normal):
+        h = HalfSpace(np.array(normal), 0.0)
+        with pytest.raises(ValueError, match=message):
+            h.contains(np.zeros((3, dim)))
+        with pytest.raises(ValueError, match=message):
+            reflect_point(h, np.zeros((3, dim)))
 
 
 def test_ball_validation():
