@@ -8,14 +8,15 @@ field and no inverse transform; the result agrees to rounding with the
 literal pair loop.  The offset kernel is even on every axis, so its spectrum
 is real and even: it is built on one octant of offsets, transformed once per
 grid shape, spacing and lambda one axis at a time on the real bins that the
-later axes leave, and a small cache keeps the last few spectra as real arrays
-with the half-spectrum weights and 1/M folded in.  The forward transform of a
-field skips the lines of the padded array that hold only zeros, and writes
-into work arrays that each thread keeps for the last few padded sizes, so
-that a pair sum allocates no spectrum-sized array.  The singular
-self-cell and its near neighbours take cell-cell averages: closed forms in
-1D, and in 2D/3D a Gauss-Legendre product rule folded by its mirror and
-axis-swap symmetries, which leave about a quarter of the 3D node pairs.
+later axes leave, and a small cache keeps the last few spectra as that real
+octant of bins, with the half-spectrum weights and 1/M folded in.  A product
+with a field's half spectrum reads the octant through mirrored views.  The
+forward transform of a field skips the lines of the padded array that hold
+only zeros, and writes into work arrays that each thread keeps for the last
+few padded sizes, so that a pair sum allocates no spectrum-sized array.  The
+singular self-cell and its near neighbours take cell-cell averages: closed
+forms in 1D, and in 2D/3D a Gauss-Legendre product rule folded by its mirror
+and axis-swap symmetries, which leave about a quarter of the 3D node pairs.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class EnergyResult:
 
 
 # Room for the fine and coarse kernels of a few (grid, lambda) pairs: one
-# 48^3 spectrum takes 3.6 MB, one of the 128 x 128 x 16 witness grid 9 MB.
+# 48^3 spectrum takes 0.94 MB, one of the 128 x 128 x 16 witness grid 2.3 MB.
 _SPECTRUM_CACHE_SIZE = 8
 # Room for the near-field constants of every lambda the spectrum cache can
 # hold: a 3D kernel takes ten, and its coarse grid shares them.
@@ -215,17 +216,17 @@ def _half_shape(size) -> tuple:
 
 
 # Padded sizes whose work arrays a thread keeps: the fine and coarse grids of
-# the last two shapes.  A 48^3 grid pads to 96^3, whose arrays take 22 MB.
+# the last two shapes.  A 48^3 grid pads to 96^3, whose arrays take 18 MB.
 _WORK_SIZES = 4
 _work = threading.local()
 
 
 def _work_arrays(size):
-    """(spectrum, spectrum, product, product) work arrays of a padded ``size``, this thread's own.
+    """(spectrum, spectrum, product) work arrays of a padded ``size``, this thread's own.
 
-    Two complex arrays of shape ``_half_shape(size)`` and two real arrays
-    of that shape, allocated on first use and kept for the
-    last ``_WORK_SIZES`` sizes.  They never leave this module: every caller
+    Two complex arrays of shape ``_half_shape(size)`` and one real array of
+    that shape, allocated on first use and kept for the last
+    ``_WORK_SIZES`` sizes.  They never leave this module: every caller
     reduces them to a number or copies out of them before it returns.
     """
     kept = getattr(_work, "arrays", None)
@@ -235,7 +236,7 @@ def _work_arrays(size):
         kept.move_to_end(size)
         return kept[size]
     half = _half_shape(size)
-    kept[size] = arrays = (np.empty(half, dtype=complex), np.empty(half, dtype=complex), np.empty(half), np.empty(half))
+    kept[size] = arrays = (np.empty(half, dtype=complex), np.empty(half, dtype=complex), np.empty(half))
     if len(kept) > _WORK_SIZES:
         kept.popitem(last=False)
     return arrays
@@ -259,6 +260,38 @@ def _padded_spectrum(values: np.ndarray, size, spec: np.ndarray) -> np.ndarray:
     return spec
 
 
+@functools.lru_cache(maxsize=_WORK_SIZES)
+def _mirror_blocks(half) -> tuple:
+    """(target, source) index pairs that spread a folded spectrum over a half spectrum of shape ``half``.
+
+    On each axis but the last, of length L, bins 0 .. L // 2 read the octant
+    directly and bins L // 2 + 1 .. L - 1 read its bins L - L // 2 - 1 .. 1,
+    reversed: bin c reads bin L - c, for odd and even L alike.  The last axis
+    is already half.  Empty blocks (L <= 2) are left out.  Cached for as
+    many shapes as the work arrays.
+    """
+    axes = []
+    for length in half[:-1]:
+        mid = length // 2 + 1
+        low, high = (slice(0, mid),) * 2, (slice(mid, length), slice(length - mid, 0, -1))
+        axes.append((low, high) if mid < length else (low,))
+    return tuple(tuple(zip(*block, (slice(None),) * 2)) for block in itertools.product(*axes))
+
+
+def _multiply_spectrum(target: np.ndarray, spectrum: np.ndarray) -> None:
+    """target *= spectrum in place, where ``spectrum`` is either of target's shape or a folded octant.
+
+    A folded spectrum (``kernel_spectrum`` of the cell-averaged kernel) is
+    read through the mirrored views of ``_mirror_blocks``: each bin meets
+    the same float as in the full layout, so the product is bit-identical.
+    """
+    if spectrum.shape == target.shape:
+        target *= spectrum
+        return
+    for dst, src in _mirror_blocks(target.shape):
+        target[dst] *= spectrum[src]
+
+
 @functools.lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
 def kernel_spectrum(shape: tuple, spacing: float, lam: float, reflect_lo=None) -> np.ndarray:
     """Weighted half spectrum of an offset kernel at the lengths L of ``_fast_shape(shape)``.
@@ -268,25 +301,29 @@ def kernel_spectrum(shape: tuple, spacing: float, lam: float, reflect_lo=None) -
     |x' - y', x_N + y_N|^(-lam) of a grid whose last axis starts at
     ``reflect_lo``.  The kernel entry for offset d = i - j sits at index
     d mod L, so the cell-averaged kernel, which is even on every axis, has a
-    real and even spectrum and is stored as a real array.  It is transformed
-    one axis at a time, the last first: each rfft keeps the L // 2 + 1 real
-    bins of its axis, the next axis transforms only those, and the earlier
-    axes are mirrored to full length at the end.  The rfftn bins carry the
-    weights of ``_half_spectrum_weights`` and 1/M, M = prod(L), so that a
-    sum over them is the normalised sum over the full spectrum.  The
-    returned array is shared between callers and is read-only.
+    real and even spectrum.  It is transformed one axis at a time, the last
+    first: each rfft keeps the L // 2 + 1 real bins of its axis and the next
+    axis transforms only those.  It is stored as that real octant, of shape
+    L // 2 + 1 on every axis; bin c of an earlier axis equals bin L - c, and
+    ``_multiply_spectrum`` reads it so.  The reflected kernel's spectrum is
+    complex and stored as the full half spectrum of ``_half_shape``.  The
+    bins carry the weights of ``_half_spectrum_weights`` and 1/M,
+    M = prod(L), so that a sum over the half spectrum is the normalised sum
+    over the full spectrum.  The returned array is shared between callers
+    and is read-only.
     """
     size = _fast_shape(shape)
     steps = [np.arange(length) for length in size]
     weights = _half_spectrum_weights(size[-1]) / math.prod(size)
     if reflect_lo is None:
         # Offset min(c, L - c) at index c; offsets of n and more read the
-        # appended zero.  Bin min(c, L - c) stands for bin c the same way.
+        # appended zero.  Bin c equals bin L - c the same way, so the rfft's
+        # bins 0 .. L // 2 hold the whole axis.
         mirror = [np.minimum(c, length - c) for c, length in zip(steps, size)]
         spec = np.pad(_octant_kernel(shape, spacing, lam), [(0, 1)] * len(shape))
         for axis in range(len(shape) - 1, -1, -1):
             spec = sfft.rfft(np.take(spec, np.minimum(mirror[axis], shape[axis]), axis=axis), axis=axis).real
-        spec = (spec * weights)[np.ix_(*mirror[:-1])]
+        spec = spec * weights
     else:
         # Window index d + n - 1 at index d mod L; indices of 2n - 1 and more read 0.
         rows = [np.minimum((c + n - 1) % length, 2 * n - 1) for c, length, n in zip(steps, size, shape)]
@@ -298,7 +335,7 @@ def kernel_spectrum(shape: tuple, spacing: float, lam: float, reflect_lo=None) -
 def apply_kernel(values: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     """sum_j kern[i - j + n - 1] values[j] at every index i of ``values``.
 
-    ``spectrum`` is a ``kernel_spectrum`` of the same shape: its kernel holds
+    ``spectrum`` is a ``kernel_spectrum`` of the same grid shape: its kernel holds
     2n - 1 entries on each axis where ``values`` holds n.  The FFT length L is
     at least 2n - 1, so no offset i - j in (-n, n) wraps onto another modulo
     L, and the circular convolution equals the linear one on the window.
@@ -306,10 +343,12 @@ def apply_kernel(values: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     transform is left unscaled because the spectrum carries the 1/M.
     """
     size = _fast_shape(values.shape)
-    spec, cwork, rwork, _ = _work_arrays(size)
+    spec, cwork, _ = _work_arrays(size)
     _padded_spectrum(values, size, spec)
-    # A reflected kernel's spectrum is complex.
-    spec *= np.divide(spectrum, _half_spectrum_weights(size[-1]), out=cwork if np.iscomplexobj(spectrum) else rwork)
+    # A reflected kernel's spectrum is complex and full; a cell-averaged one
+    # is a real octant, whose quotient is octant-sized.
+    out = cwork if np.iscomplexobj(spectrum) else None
+    _multiply_spectrum(spec, np.divide(spectrum, _half_spectrum_weights(size[-1]), out=out))
     conv = sfft.irfftn(spec, s=size, norm="forward")
     return conv[tuple(slice(0, n) for n in values.shape)]
 
@@ -340,19 +379,20 @@ def _pair_sum(f: Field, g: Field, lam: float) -> float:
     """<g, K f> without an inverse transform: sum of K^ Re(conj(G^) F^) over the half spectrum.
 
     Re(conj(G^) F^) is taken as Re F^ Re G^ + Im F^ Im G^, the same floats
-    with f and g exchanged, so the form is symmetric bit for bit.  The sum is
+    with f and g exchanged, so the form is symmetric bit for bit; Im F^ Im G^
+    is written over Im F^, which is spent by then.  The sum is
     numpy's pairwise one: a BLAS dot, which adds the terms in sequence, lost
     3e-14 of a 64^2 energy.  The spectrum of f is reused when g is f.
     """
     spacing, dim = f.grid.spacing, f.dim
     spectrum = kernel_spectrum(f.grid.shape, spacing, lam)
     size = _fast_shape(f.grid.shape)
-    fs, gs, prod, tmp = _work_arrays(size)
+    fs, gs, prod = _work_arrays(size)
     _padded_spectrum(f.values, size, fs)
     gs = fs if g is f else _padded_spectrum(g.values, size, gs)
     np.multiply(fs.real, gs.real, out=prod)
-    prod += np.multiply(fs.imag, gs.imag, out=tmp)
-    prod *= spectrum
+    prod += np.multiply(fs.imag, gs.imag, out=fs.imag)
+    _multiply_spectrum(prod, spectrum)
     off_diag = float(np.sum(prod)) * spacing ** (2 * dim)
     diag = float(np.sum(f.values * g.values)) * _diag_cell_constant(dim, lam) * spacing ** (2 * dim - lam)
     return off_diag + diag

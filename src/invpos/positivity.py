@@ -42,10 +42,12 @@ class PositivityReport:
 
 
 def _defect_core(region, f: Field, kp: KernelParams) -> tuple:
-    """(defect, g-form value, g-field) of f against the region at one resolution.
+    """(defect, g-form value, g-field, Theta f) of f against the region at one resolution.
 
-    The energies carry no estimates of their own: positivity_defect
-    estimates the error of the combination instead.
+    The fourth value is the conformal image Theta f, which positivity_defect
+    compares with f for the strict flag.  The energies carry no estimates of
+    their own: positivity_defect estimates the error of the combination
+    instead.
     """
     fi, fo, theta_f, inside = split_in_out(region, f, kp)
     e_f = energy_direct(f, f, kp, estimate=False)

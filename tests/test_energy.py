@@ -314,16 +314,43 @@ def _rfftn_kernel_spectrum(shape, h, lam):
     return sfft.rfftn(kern).real * (energy._half_spectrum_weights(size[-1]) / math.prod(size))
 
 
-@pytest.mark.parametrize("shape", [(41,), (37,), (48,), (13, 9), (7, 6, 5), (41, 8), (24, 24, 24)])
+def _unfold(spectrum, shape):
+    """A folded kernel spectrum spread over the half spectrum of ``_fast_shape(shape)``: bin c reads bin min(c, L - c)."""
+    size = energy._fast_shape(shape)
+    return spectrum[np.ix_(*[np.minimum(c, n_fft - c) for c, n_fft in zip(map(np.arange, size[:-1]), size[:-1])])]
+
+
+SPECTRUM_SHAPES = [(41,), (37,), (48,), (13, 9), (7, 6, 5), (41, 8), (24, 24, 24)]
+
+
+@pytest.mark.parametrize("shape", SPECTRUM_SHAPES)
 @pytest.mark.parametrize("lam", [0.4, 1.9])
 def test_separable_kernel_spectrum_matches_full_rfftn(shape, lam):
     # Odd and even FFT lengths on every axis; 1-D takes the same single rfft.
-    got = energy.kernel_spectrum(shape, 0.3, lam)
+    folded = energy.kernel_spectrum(shape, 0.3, lam)
+    assert folded.shape == tuple(n_fft // 2 + 1 for n_fft in energy._fast_shape(shape))
+    got = _unfold(folded, shape)
     want = _rfftn_kernel_spectrum(shape, 0.3, lam)
     assert got.shape == want.shape
     if len(shape) == 1:
         assert np.array_equal(got, want)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("shape", SPECTRUM_SHAPES)
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_mirrored_multiply_matches_the_gathered_spectrum_bit_for_bit(shape, dtype):
+    # Odd and even lengths on every axis: the mirrored views must meet each
+    # bin with the same float as the full layout.
+    folded = energy.kernel_spectrum(shape, 0.3, 1.1)
+    half = energy._half_shape(energy._fast_shape(shape))
+    rng = np.random.default_rng(len(shape))
+    target = rng.standard_normal(half).astype(dtype)
+    if dtype is complex:
+        target.imag = rng.standard_normal(half)
+    want = target * _unfold(folded, shape)
+    energy._multiply_spectrum(target, folded)
+    assert np.array_equal(target, want)
 
 
 @pytest.mark.parametrize("shape", [(41,), (13, 9), (96, 96), (7, 6, 5), (24, 24, 24), (32, 32, 4)])
@@ -347,14 +374,16 @@ def _fresh_pair_sum(f, g, lam):
     size = energy._fast_shape(f.grid.shape)
     fs = energy._padded_spectrum(f.values, size, np.empty(energy._half_shape(size), dtype=complex))
     gs = fs if g is f else energy._padded_spectrum(g.values, size, np.empty(energy._half_shape(size), dtype=complex))
-    spectrum = energy.kernel_spectrum(f.grid.shape, h, lam)
+    spectrum = _unfold(energy.kernel_spectrum(f.grid.shape, h, lam), f.grid.shape)
     off_diag = float(np.sum(spectrum * (fs.real * gs.real + fs.imag * gs.imag))) * h ** (2 * dim)
     return off_diag + float(np.sum(f.values * g.values)) * energy._diag_cell_constant(dim, lam) * h ** (2 * dim - lam)
 
 
 def _fresh_apply_kernel(values, spectrum):
-    """``apply_kernel`` on a freshly allocated spectrum."""
+    """``apply_kernel`` on a freshly allocated spectrum, with a folded kernel spectrum unfolded first."""
     size = energy._fast_shape(values.shape)
+    if not np.iscomplexobj(spectrum):
+        spectrum = _unfold(spectrum, values.shape)
     unweighted = spectrum / energy._half_spectrum_weights(size[-1])
     spec = energy._padded_spectrum(values, size, np.empty(energy._half_shape(size), dtype=complex))
     conv = sfft.irfftn(spec * unweighted, s=size, norm="forward")
@@ -416,3 +445,51 @@ def test_pair_sum_work_arrays_are_per_thread():
     for name in range(4):
         assert len(got[name]) == 3 * len(pairs)
         assert all(value == want[i] for i, value in got[name])
+
+
+# --- memory held by the kernel cache and the work arrays ---
+
+
+def test_kernel_spectrum_and_work_arrays_hold_their_stated_sizes():
+    # The 48^3 spectrum is the real octant of its 96^3 padded grid, and a
+    # padded size keeps two complex half spectra and one real one.
+    assert energy.kernel_spectrum((48,) * 3, 1.0 / 3.0, 1.23).nbytes == 49**3 * 8
+    half = energy._half_shape((96, 96, 96))
+    arrays = energy._work_arrays((96, 96, 96))
+    assert sorted((a.shape, a.dtype) for a in arrays) == sorted([(half, np.dtype(complex))] * 2 + [(half, np.dtype(float))])
+
+
+def test_positivity_defects_at_48_cubed_stay_within_their_memory_bound():
+    # Criterion 3's grid with two Gaussians and an axis plane on a cell edge.
+    # A fresh thread allocates its own work arrays inside the trace, and each
+    # lambda builds a fresh fine and coarse kernel.  The octant spectra and
+    # three work arrays peak near 35 MB; full-layout spectra and a fourth
+    # work array peaked near 52 MB.
+    import threading
+    import tracemalloc
+
+    from invpos.geometry import HalfSpace
+    from invpos.positivity import positivity_defect
+
+    grid = box_grid([-8.0] * 3, [8.0] * 3, 48)
+    pts = grid.points()
+    bumps = [(np.array([0.5, -0.3, 0.2]), 0.9, 1.0), (np.array([-1.0, 0.8, -0.4]), 0.7, 0.6)]
+    values = sum(a * np.exp(-np.sum((pts - c) ** 2, axis=-1) / (2.0 * w * w)) for c, w, a in bumps)
+    f = Field(grid, values.reshape(grid.shape))
+    plane = HalfSpace(normal=[1.0, 0.0, 0.0], offset=float(grid.lo[0] + 24 * grid.spacing))
+    defects = []
+
+    def work():
+        for lam in (1.0517, 1.1517, 1.3517, 1.5517, 1.7517, 1.9517):
+            defects.append(positivity_defect(plane, f, KernelParams(dim=3, lam=lam)).defect)
+
+    tracemalloc.start()
+    try:
+        thread = threading.Thread(target=work)
+        thread.start()
+        thread.join(timeout=120)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(defects) == 6 and all(np.isfinite(defects))
+    assert peak < 44e6, f"peak {peak / 1e6:.1f} MB"
