@@ -12,8 +12,10 @@ later axes leave, and a small cache keeps the last few spectra as that real
 octant of bins, with the half-spectrum weights and 1/M folded in.  A product
 with a field's half spectrum reads the octant through mirrored views.  The
 forward transform of a field skips the lines of the padded array that hold
-only zeros, and writes into work arrays that each thread keeps for the last
-few padded sizes, so that a pair sum allocates no spectrum-sized array.  The
+only zeros, and writes into work arrays in one buffer per thread, so that a
+pair sum allocates no spectrum-sized array.  The form <Theta g, g> of an
+index mirror takes one transform of g: the mirror is a phase on reversed
+bins.  The
 singular self-cell and its near neighbours take cell-cell averages: closed
 forms in 1D, and in 2D/3D a Gauss-Legendre product rule folded by its mirror
 and axis-swap symmetries, which leave about a quarter of the 3D node pairs.
@@ -25,7 +27,6 @@ import functools
 import itertools
 import math
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,9 +216,6 @@ def _half_shape(size) -> tuple:
     return tuple(size[:-1]) + (size[-1] // 2 + 1,)
 
 
-# Padded sizes whose work arrays a thread keeps: the fine and coarse grids of
-# the last two shapes.  A 48^3 grid pads to 96^3, whose arrays take 18 MB.
-_WORK_SIZES = 4
 _work = threading.local()
 
 
@@ -225,21 +223,21 @@ def _work_arrays(size):
     """(spectrum, spectrum, product) work arrays of a padded ``size``, this thread's own.
 
     Two complex arrays of shape ``_half_shape(size)`` and one real array of
-    that shape, allocated on first use and kept for the last
-    ``_WORK_SIZES`` sizes.  They never leave this module: every caller
-    reduces them to a number or copies out of them before it returns.
+    that shape, views into one float buffer per thread of 5 floats per bin.
+    The buffer is grown to the largest size seen: the old one is released
+    before the new one is allocated, so the two are never held at once.  A
+    48^3 grid pads to 96^3, whose arrays take 18 MB.  The views never leave
+    this module: every caller reduces them to a number or copies out of them
+    before it returns, and no caller holds them across another call.
     """
-    kept = getattr(_work, "arrays", None)
-    if kept is None:
-        kept = _work.arrays = OrderedDict()
-    if size in kept:
-        kept.move_to_end(size)
-        return kept[size]
     half = _half_shape(size)
-    kept[size] = arrays = (np.empty(half, dtype=complex), np.empty(half, dtype=complex), np.empty(half))
-    if len(kept) > _WORK_SIZES:
-        kept.popitem(last=False)
-    return arrays
+    bins = math.prod(half)
+    buffer = getattr(_work, "buffer", None)
+    if buffer is None or buffer.size < 5 * bins:
+        buffer = _work.buffer = None
+        buffer = _work.buffer = np.empty(5 * bins)
+    spectra = buffer[: 4 * bins].view(complex)
+    return spectra[:bins].reshape(half), spectra[bins:].reshape(half), buffer[4 * bins : 5 * bins].reshape(half)
 
 
 def _padded_spectrum(values: np.ndarray, size, spec: np.ndarray) -> np.ndarray:
@@ -260,7 +258,7 @@ def _padded_spectrum(values: np.ndarray, size, spec: np.ndarray) -> np.ndarray:
     return spec
 
 
-@functools.lru_cache(maxsize=_WORK_SIZES)
+@functools.lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
 def _mirror_blocks(half) -> tuple:
     """(target, source) index pairs that spread a folded spectrum over a half spectrum of shape ``half``.
 
@@ -268,7 +266,7 @@ def _mirror_blocks(half) -> tuple:
     directly and bins L // 2 + 1 .. L - 1 read its bins L - L // 2 - 1 .. 1,
     reversed: bin c reads bin L - c, for odd and even L alike.  The last axis
     is already half.  Empty blocks (L <= 2) are left out.  Cached for as
-    many shapes as the work arrays.
+    many shapes as the kernel spectra.
     """
     axes = []
     for length in half[:-1]:
@@ -375,14 +373,25 @@ def richardson(quadrature: str, evaluate, *fields: Field, estimate: bool = True)
     return EnergyResult(value=value, quadrature=quadrature, est_error=est, est_kind=kind)
 
 
-def _pair_sum(f: Field, g: Field, lam: float) -> float:
-    """<g, K f> without an inverse transform: sum of K^ Re(conj(G^) F^) over the half spectrum.
+def _weighted_form(fs: np.ndarray, gs: np.ndarray, prod: np.ndarray, spectrum: np.ndarray) -> float:
+    """sum of K^ Re(conj(G^) F^) over the half spectra ``fs`` and ``gs``, through the work array ``prod``.
 
     Re(conj(G^) F^) is taken as Re F^ Re G^ + Im F^ Im G^, the same floats
     with f and g exchanged, so the form is symmetric bit for bit; Im F^ Im G^
-    is written over Im F^, which is spent by then.  The sum is
-    numpy's pairwise one: a BLAS dot, which adds the terms in sequence, lost
-    3e-14 of a 64^2 energy.  The spectrum of f is reused when g is f.
+    is written over Im F^, which is spent by then.  The sum is numpy's
+    pairwise one: a BLAS dot, which adds the terms in sequence, lost 3e-14
+    of a 64^2 energy.
+    """
+    np.multiply(fs.real, gs.real, out=prod)
+    prod += np.multiply(fs.imag, gs.imag, out=fs.imag)
+    _multiply_spectrum(prod, spectrum)
+    return float(np.sum(prod))
+
+
+def _pair_sum(f: Field, g: Field, lam: float) -> float:
+    """<g, K f> without an inverse transform: ``_weighted_form`` of the two padded spectra.
+
+    The spectrum of f is reused when g is f.
     """
     spacing, dim = f.grid.spacing, f.dim
     spectrum = kernel_spectrum(f.grid.shape, spacing, lam)
@@ -390,12 +399,44 @@ def _pair_sum(f: Field, g: Field, lam: float) -> float:
     fs, gs, prod = _work_arrays(size)
     _padded_spectrum(f.values, size, fs)
     gs = fs if g is f else _padded_spectrum(g.values, size, gs)
-    np.multiply(fs.real, gs.real, out=prod)
-    prod += np.multiply(fs.imag, gs.imag, out=fs.imag)
-    _multiply_spectrum(prod, spectrum)
-    off_diag = float(np.sum(prod)) * spacing ** (2 * dim)
+    off_diag = _weighted_form(fs, gs, prod, spectrum) * spacing ** (2 * dim)
     diag = float(np.sum(f.values * g.values)) * _diag_cell_constant(dim, lam) * spacing ** (2 * dim - lam)
     return off_diag + diag
+
+
+def _mirror_pair_sum(g: Field, axis: int, edge: int, lam: float) -> float:
+    """<Theta g, K g> for the index mirror Theta of cell j onto cell 2 edge - 1 - j along ``axis``, from one transform of g.
+
+    Theta g must lie on g's grid.  With r = 2 edge - 1 and L the FFT length
+    of the axis, the spectrum of Theta g is e^(-2 pi i r k_a / L) G^(-k_a,
+    k_rest); on the last (rfft) axis G^(-k_a, k_rest) = conj(G^(k_a,
+    -k_rest)).  The bins are reversed by slice copies into the second work
+    array, bin 0 kept and bin c read from bin L - c: along the axis, or
+    along every other axis when it is the last one.  g and Theta g have
+    disjoint supports, so there is no self-cell term.
+    """
+    spacing, dim = g.grid.spacing, g.dim
+    spectrum = kernel_spectrum(g.grid.shape, spacing, lam)
+    size = _fast_shape(g.grid.shape)
+    gs, ts, prod = _work_arrays(size)
+    _padded_spectrum(g.values, size, gs)
+    last = axis == dim - 1
+    flipped = range(dim - 1) if last else (axis,)
+    blocks = [
+        ((slice(0, 1),) * 2, (slice(1, n), slice(n - 1, 0, -1))) if k in flipped and n > 1 else ((slice(None),) * 2,)
+        for k, n in enumerate(gs.shape)
+    ]
+    # On the last axis the reversed bins take the conjugate phase and the
+    # product is conjugated in place: conj(R) e^(-i t) = conj(R e^(i t)).
+    length = size[axis]
+    steps = (2 * edge - 1) * np.arange(gs.shape[axis]) % length
+    phase = np.exp((1 if last else -1) * 2j * np.pi / length * steps).reshape((-1,) + (1,) * (dim - 1 - axis))
+    for block in itertools.product(*blocks):
+        dst, src = zip(*block)
+        np.multiply(gs[src], phase[dst[axis]], out=ts[dst])
+    if last:
+        np.negative(ts.imag, out=ts.imag)
+    return _weighted_form(gs, ts, prod, spectrum) * spacing ** (2 * dim)
 
 
 def energy_direct(f: Field, g: Field, kp: KernelParams, estimate: bool = True) -> EnergyResult:

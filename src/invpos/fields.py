@@ -351,12 +351,12 @@ _EDGE_TOL = 1e-9
 
 
 def _edge_mirror(h: HalfSpace, grid: Grid):
-    """(k, mirror index of each cell along axis k) when H maps the grid's cell centres onto each other, else None.
+    """(k, e) when H maps the grid's cell centres onto each other, else None.
 
-    That is when the normal of H is +-e_k and its plane lies on a cell edge e
-    of axis k, the faces of the box included: the mirror of cell j is then
-    cell 2e - 1 - j.  Python floats carry a far-off plane to inf, not a
-    warning.
+    That is when the normal of H is +-e_k and its plane lies on the cell edge
+    with index e of axis k, the faces of the box included: the mirror of cell
+    j is then cell 2e - 1 - j.  Python floats carry a far-off plane to inf,
+    not a warning.
     """
     axes = np.flatnonzero(h.normal)
     if len(axes) != 1 or abs(h.normal[axes[0]]) != 1.0:
@@ -365,7 +365,39 @@ def _edge_mirror(h: HalfSpace, grid: Grid):
     edge = (float(h.normal[k]) * h.offset - float(grid.lo[k])) / float(grid.spacing)
     if not -_EDGE_TOL <= edge <= grid.shape[k] + _EDGE_TOL or abs(edge - round(edge)) > _EDGE_TOL:
         return None
-    return k, 2 * round(edge) - 1 - np.arange(grid.shape[k])
+    return k, round(edge)
+
+
+def _mirror_closed(f: Field, axis: int, edge: int) -> Field:
+    """f padded along ``axis`` to the grid symmetric about its cell edge ``edge``.
+
+    The padded grid holds the box and its mirror, so the index mirror about
+    the edge permutes its cells.  The low pad is rounded up to an even count,
+    which keeps the block pairs of ``coarsen`` those of the box, and the high
+    pad follows from the symmetry.  Padded cells take the tail at their
+    centres, or 0; the tail is kept.
+    """
+    g = f.grid
+    n = g.shape[axis]
+    pad_lo = max(0, n - 2 * edge)
+    pad_lo += pad_lo % 2
+    pad_hi = 2 * edge + pad_lo - n
+    if pad_lo == pad_hi == 0:
+        return f
+    lo = g.lo.copy()
+    lo[axis] -= pad_lo * g.spacing
+    shape = list(g.shape)
+    shape[axis] += pad_lo + pad_hi
+    grid = Grid(lo, g.spacing, tuple(shape))
+    pads = [(0, 0)] * g.dim
+    pads[axis] = (pad_lo, pad_hi)
+    values = np.pad(f.values, pads)
+    if f.tail is not None:
+        outside = np.r_[0:pad_lo, pad_lo + n : shape[axis]]
+        coords = list(grid.open_axes)
+        coords[axis] = np.take(coords[axis], outside, axis=axis)
+        values[(slice(None),) * axis + (outside,)] = _pull_back(f, coords)
+    return Field(grid, values, tail=f.tail)
 
 
 def apply_reflection(h: HalfSpace, f: Field) -> Field:
@@ -388,8 +420,9 @@ def apply_reflection(h: HalfSpace, f: Field) -> Field:
     mirror = _edge_mirror(h, g)
     if mirror is None:
         return Field(g, _pull_back(f, coords))
-    k, src = mirror
+    k, edge = mirror
     n = g.shape[k]
+    src = 2 * edge - 1 - np.arange(n)
     vals = np.take(f.values, np.clip(src, 0, n - 1), axis=k)
     outside = np.flatnonzero((src < 0) | (src >= n))
     if outside.size:

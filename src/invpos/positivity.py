@@ -1,11 +1,13 @@
 """Inversion/reflection positivity: defect, exact oracle, counterexamples.
 
 The defect of a field against a ball or half-space is
-(I[f^i] + I[f^o])/2 - I[f]; it is non-negative for lambda >= N - 2 and is
-checked here two ways: through the splices and through the equivalent
-quadratic form I[Theta g, g] with g the inside-restricted difference
-f - Theta f.  The half-space oracle evaluates the exact Fourier-Laplace
-representation of I[Theta_H f, f], which is a weighted square.
+(I[f^i] + I[f^o])/2 - I[f]; it is non-negative for lambda >= N - 2.  It
+equals the quadratic form I[Theta g, g], with g the inside-restricted
+difference f - Theta f, and is reported in two codings: for an axis plane
+on a cell edge, the form from g's one transform and the form with Theta g
+as an index flip; for every other region, the splices and the form.  The
+half-space oracle evaluates the exact Fourier-Laplace representation of
+I[Theta_H f, f], which is a weighted square.
 """
 
 from __future__ import annotations
@@ -18,8 +20,20 @@ import numpy as np
 from scipy.special import gamma, gammaln
 
 from .coverage import ball_coverage, grid_mass
-from .energy import EnergyResult, apply_kernel, energy_direct, kernel_spectrum, richardson
-from .fields import Field, Grid, HalfSpace, KernelParams, apply_region_map, box_grid, coarsen, split_in_out
+from .energy import EnergyResult, _mirror_pair_sum, apply_kernel, energy_direct, kernel_spectrum, richardson
+from .fields import (
+    Field,
+    Grid,
+    HalfSpace,
+    KernelParams,
+    _edge_mirror,
+    _mirror_closed,
+    apply_region_map,
+    box_grid,
+    coarsen,
+    region_mask,
+    split_in_out,
+)
 
 
 class SearchFailureError(RuntimeError):
@@ -60,24 +74,64 @@ def _defect_core(region, f: Field, kp: KernelParams) -> tuple:
     return defect, e_g.value, g, theta_f
 
 
+def _mirror_defect(region: HalfSpace, f: Field, kp: KernelParams, axis: int, edge: int) -> tuple:
+    """(defect, g-form value, g-field, Theta f) of f against an axis plane on the cell edge ``edge`` of ``axis``.
+
+    f's grid must be symmetric about the plane, so that Theta is the index
+    mirror and permutes its cells.  Then I[Theta f] = I[f], and with
+    g = 1_in (f - Theta f) the splice defect (I[f^i] + I[f^o])/2 - I[f] is
+    <Theta g, g> identically: it is taken from g's one transform by the
+    mirror phase.  The g-form value codes the same number a second way,
+    Theta g by an explicit index flip with its own transform.
+    """
+    theta_f = apply_region_map(region, f, kp)
+    g = Field(f.grid, np.where(region_mask(region, f.grid), f.values - theta_f.values, 0.0))
+    defect = _mirror_pair_sum(g, axis, edge, kp.lam)
+    e_g = energy_direct(apply_region_map(region, g, kp), g, kp, estimate=False)
+    return defect, e_g.value, g, theta_f
+
+
+def _defect_at(region, f: Field, kp: KernelParams) -> tuple:
+    """``_mirror_defect`` on f's grid where the region is an axis plane on one of its cell edges, else ``_defect_core``."""
+    mirror = _edge_mirror(region, f.grid) if isinstance(region, HalfSpace) else None
+    return _defect_core(region, f, kp) if mirror is None else _mirror_defect(region, f, kp, *mirror)
+
+
 def positivity_defect(region, f: Field, kp: KernelParams) -> PositivityReport:
     """Defect of f against the region, with the internal g-form cross-check.
 
+    For a half-space whose plane is normal to an axis and lies on a cell
+    edge, f is first padded along that axis (``fields._mirror_closed``) to
+    the grid that holds the box and its mirror, and every value below is
+    taken on that grid.  There the defect is <Theta g, g> from g's one
+    transform by the mirror phase, and ``defect_via_g`` is the same form
+    with Theta g as an explicit index flip: their agreement checks the
+    mirror phase against the flip, not a mirror cut off by the box, which
+    no longer occurs.  Balls and other planes take the splices,
+    ``defect`` = (I[f^i] + I[f^o])/2 - I[f] and ``defect_via_g`` =
+    I[Theta g, g], whose agreement also sees the splice lost where the image
+    leaves the box.
+
     est_error is a Richardson estimate of the defect itself (the whole
-    quantity is recomputed on the factor-2 coarsened field): the four energy
+    quantity is recomputed on the factor-2 coarsened field): the energy
     integrals share most of their quadrature bias, which cancels in the
     combination, so per-integral error bounds would be wildly pessimistic.
     It is the sum of its two parts, est_defect = |change of the defect| and
-    est_via_g = |change of the g-form|.  On a grid too small to coarsen each
-    part is guessed as a tenth of its value and est_kind says "guessed".
+    est_via_g = |change of the g-form|.  The coarse field of an axis plane
+    is coarsened from the padded one; where the plane falls inside a coarse
+    cell it takes the splices.  On a grid too small to coarsen each part is
+    guessed as a tenth of its value and est_kind says "guessed".
 
     strict_flag is True when f agrees with its conformal image within
     interpolation tolerance (relative p-norm 1e-3), in which case the defect
     vanishes up to quadrature error.
     """
-    defect, via_g, g, theta_f = _defect_core(region, f, kp)
+    mirror = _edge_mirror(region, f.grid) if isinstance(region, HalfSpace) else None
+    if mirror is not None:
+        f = _mirror_closed(f, *mirror)
+    defect, via_g, g, theta_f = _defect_at(region, f, kp)
     try:
-        defect_c, via_g_c, _, _ = _defect_core(region, coarsen(f), kp)
+        defect_c, via_g_c, _, _ = _defect_at(region, coarsen(f), kp)
         est_defect, est_via_g, kind = abs(defect - defect_c), abs(via_g - via_g_c), "richardson"
     except ValueError:
         est_defect, est_via_g, kind = 0.1 * abs(defect) + 5e-13, 0.1 * abs(via_g) + 5e-13, "guessed"

@@ -391,11 +391,13 @@ def _fresh_apply_kernel(values, spectrum):
 
 
 def test_pair_sum_on_kept_work_arrays_matches_fresh_arrays_bit_for_bit():
-    # More padded sizes than are kept, interleaved, so that arrays are reused
-    # after other sizes, dropped and allocated again; a stale corner or
-    # padding from the last use of a size would show.
+    # Padded sizes interleaved, smaller ones after larger, so that the one
+    # work buffer is grown and its views of one size are laid over what
+    # other sizes left; a stale corner or padding from an earlier use would
+    # show.
     shapes = [(37,), (13, 9), (7, 6, 5), (64,), (16, 16), (12, 12, 12), (41, 8), (6, 7, 8)]
-    assert len({energy._fast_shape(s) for s in shapes}) > energy._WORK_SIZES
+    bins = [math.prod(energy._half_shape(energy._fast_shape(s))) for s in shapes]
+    assert bins != sorted(bins) and max(bins) > bins[0]
     rng = np.random.default_rng(20)
     lam = 0.7
     for shape in shapes * 3 + shapes[::-1]:
@@ -451,20 +453,39 @@ def test_pair_sum_work_arrays_are_per_thread():
 
 
 def test_kernel_spectrum_and_work_arrays_hold_their_stated_sizes():
-    # The 48^3 spectrum is the real octant of its 96^3 padded grid, and a
-    # padded size keeps two complex half spectra and one real one.
+    # The 48^3 spectrum is the real octant of its 96^3 padded grid.  A
+    # padded size gets two complex half spectra and one real one, views into
+    # one buffer per thread of 5 floats per bin, grown to the largest size.
+    import threading
+
     assert energy.kernel_spectrum((48,) * 3, 1.0 / 3.0, 1.23).nbytes == 49**3 * 8
     half = energy._half_shape((96, 96, 96))
-    arrays = energy._work_arrays((96, 96, 96))
+    held = []
+
+    def work():
+        held.append(energy._work_arrays((96, 96, 96)))
+        held.append(energy._work_arrays((48, 48, 48)))
+        held.append(energy._work.buffer)
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    arrays, smaller, buffer = held
     assert sorted((a.shape, a.dtype) for a in arrays) == sorted([(half, np.dtype(complex))] * 2 + [(half, np.dtype(float))])
+    assert buffer.nbytes == 5 * math.prod(half) * 8
+    assert all(np.shares_memory(a, buffer) for a in arrays + smaller)
 
 
 def test_positivity_defects_at_48_cubed_stay_within_their_memory_bound():
-    # Criterion 3's grid with two Gaussians and an axis plane on a cell edge.
-    # A fresh thread allocates its own work arrays inside the trace, and each
-    # lambda builds a fresh fine and coarse kernel.  The octant spectra and
-    # three work arrays peak near 35 MB; full-layout spectra and a fourth
-    # work array peaked near 52 MB.
+    # Criterion 3's grid with two Gaussians and axis planes on cell edges:
+    # the centre plane at six lambdas, then planes on edges 22 and 26 of
+    # every axis, whose grids are padded to 52 cells on that axis.  A fresh
+    # thread allocates its own work buffer inside the trace, and each lambda
+    # builds a fresh fine and coarse kernel.  The octant spectra and one work
+    # buffer, grown to the largest padded size, peak near 37 MB; full-layout
+    # spectra and a fourth work array peaked near 52 MB, and a buffer that
+    # stays referenced while its larger successor is allocated near 48 MB.
     import threading
     import tracemalloc
 
@@ -476,12 +497,17 @@ def test_positivity_defects_at_48_cubed_stay_within_their_memory_bound():
     bumps = [(np.array([0.5, -0.3, 0.2]), 0.9, 1.0), (np.array([-1.0, 0.8, -0.4]), 0.7, 0.6)]
     values = sum(a * np.exp(-np.sum((pts - c) ** 2, axis=-1) / (2.0 * w * w)) for c, w, a in bumps)
     f = Field(grid, values.reshape(grid.shape))
-    plane = HalfSpace(normal=[1.0, 0.0, 0.0], offset=float(grid.lo[0] + 24 * grid.spacing))
+
+    def plane(axis, edge):
+        return HalfSpace(normal=np.eye(3)[axis], offset=float(grid.lo[axis] + edge * grid.spacing))
+
+    inputs = [(plane(0, 24), lam) for lam in (1.0517, 1.1517, 1.3517, 1.5517, 1.7517, 1.9517)]
+    inputs += [(plane(axis, edge), 1.2017 + 0.1 * (2 * axis + i)) for axis in range(3) for i, edge in enumerate((22, 26))]
     defects = []
 
     def work():
-        for lam in (1.0517, 1.1517, 1.3517, 1.5517, 1.7517, 1.9517):
-            defects.append(positivity_defect(plane, f, KernelParams(dim=3, lam=lam)).defect)
+        for region, lam in inputs:
+            defects.append(positivity_defect(region, f, KernelParams(dim=3, lam=lam)).defect)
 
     tracemalloc.start()
     try:
@@ -491,5 +517,5 @@ def test_positivity_defects_at_48_cubed_stay_within_their_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(defects) == 6 and all(np.isfinite(defects))
+    assert len(defects) == 12 and all(np.isfinite(defects))
     assert peak < 44e6, f"peak {peak / 1e6:.1f} MB"
