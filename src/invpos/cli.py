@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -29,26 +29,6 @@ _FAMILIES = {
     "gaussian": {"center": 0.0, "width": 1.0, "amplitude": 1.0},
     "indicator": {"lo": -1.0, "hi": 1.0},
 }
-
-# The tolerance names each command reads, with their defaults; other commands
-# read none.  hemiball's expected has none: without it there is no verdict.
-_TOLERANCES = {
-    "energy": {"rel_tol": 0.01},
-    "transform": {"sigma": 1.0},
-    "represent": {"rel_tol": 0.005},
-    "symmetrize": {"fit_error": 0.05},
-    "hemiball": {"expected": None, "abs_tol": 1e-4},
-    "lizhu-check": {"cv_tol": 1e-3, "dev_tol": 1e-3},
-}
-
-# The region kinds each command reads; a region given to any other command is
-# a config error, not silently ignored.
-_REGIONS = {
-    "transform": ("ball", "halfspace"),
-    "positivity": ("ball", "halfspace"),
-    "hemiball": ("ball",),
-}
-
 
 class ConfigError(ValueError):
     """Invalid run configuration; maps to exit code 2."""
@@ -68,14 +48,6 @@ class RunConfig:
     region: Optional[dict]
     tolerances: dict
     seed: Optional[int]
-
-
-@dataclass
-class Verdict:
-    name: str
-    measured: float
-    tolerance: float
-    passed: bool
 
 
 def _check_keys(obj: dict, allowed, path: str) -> None:
@@ -202,7 +174,7 @@ def parse_config(text: str) -> RunConfig:
             params = {"normal": normal, "offset": offset}
         else:
             raise ConfigError("region must hold exactly one of: ball, halfspace")
-        kinds = _REGIONS.get(command, ())
+        kinds = _COMMANDS[command].regions
         if kind not in kinds:
             takes = f"takes only region.{' or region.'.join(kinds)}" if kinds else "takes no region"
             raise ConfigError(f"command {command} {takes}, got region.{kind}")
@@ -211,7 +183,7 @@ def parse_config(text: str) -> RunConfig:
     tolerances = doc.get("tolerances", {})
     if not isinstance(tolerances, dict) or not all(_is_number(v) for v in tolerances.values()):
         raise ConfigError("tolerances must map names to numbers")
-    defaults = _TOLERANCES.get(command, {})
+    defaults = _COMMANDS[command].tolerances
     _check_keys(tolerances, defaults, "tolerances")
     tolerances = {**defaults, **tolerances}
 
@@ -250,6 +222,8 @@ def _build_field(cfg: RunConfig, kp):
             f = read_field_csv(fn["file"])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read function.file: {exc}") from exc
+        if f.grid.dim != cfg.dim:
+            raise ConfigError(f"function.file holds a {f.grid.dim}-D field, kernel.dim is {cfg.dim}")
     elif fn["family"] == "extremizer":
         spec = extremizer_spec(kp, alpha=fn["alpha"], beta=fn["beta"], center=np.asarray(fn["center"]))
         try:
@@ -292,15 +266,15 @@ class Report:
 
     def __init__(self):
         self.columns: List[tuple] = []
-        self.verdicts: List[Verdict] = []
         self.lines: List[str] = []
+        self.all_pass = True
 
     def add(self, name: str, value) -> None:
         self.columns.append((name, value))
         self.lines.append(f"{name} = {_fmt(value)}")
 
     def verdict(self, name: str, measured: float, tolerance: float, passed: bool) -> None:
-        self.verdicts.append(Verdict(name, measured, tolerance, passed))
+        self.all_pass &= bool(passed)
         self.columns.append((f"{name}_measured", measured))
         self.columns.append((f"{name}_tolerance", tolerance))
         self.columns.append((f"{name}_pass", passed))
@@ -320,10 +294,6 @@ class Report:
                 os.remove(path)
             with open(path, "w") as fh:
                 fh.write(text)
-
-    @property
-    def all_pass(self) -> bool:
-        return all(v.passed for v in self.verdicts)
 
 
 def _cmd_sharp_constant(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
@@ -502,8 +472,12 @@ def _cmd_counterexample(cfg: RunConfig, kp, rep: Report, out_dir: str) -> None:
     from .fields import write_field_csv
     from .positivity import find_negative_defect, newton_zero_overlap
 
-    # Both examples run on their own fixed grids, not on the config grid;
-    # the report names the grid actually used.
+    # The Newton example is N = 3 at lambda = N - 2, the witness search N = 3
+    # below it, each with 1e-12 slack.  Both run on their own fixed grids, not
+    # on the config grid; the report names the grid actually used.
+    if cfg.dim != 3 or cfg.lam > 1.0 + 1e-12:
+        got = f"N = {cfg.dim}, lambda = {_fmt(cfg.lam)}"
+        raise ConfigError(f"command counterexample needs kernel.dim 3 and lambda <= 1, got {got}")
     if kp.positivity_valid:
         result = newton_zero_overlap(kp)
         _add_grid(rep, result.field.grid)
@@ -537,18 +511,28 @@ class _NumericalFailure(RuntimeError):
     pass
 
 
-_HANDLERS = {
-    "energy": _cmd_energy,
-    "transform": _cmd_transform,
-    "positivity": _cmd_positivity,
-    "represent": _cmd_represent,
-    "symmetrize": _cmd_symmetrize,
-    "hemiball": _cmd_hemiball,
-    "lizhu-check": _cmd_lizhu_check,
-    "counterexample": _cmd_counterexample,
-    "sharp-constant": _cmd_sharp_constant,
+class _Command(NamedTuple):
+    handler: Callable
+    tolerances: dict
+    regions: tuple = ()
+
+
+# One row per command: its handler, the tolerance names it reads with their
+# defaults, and the region kinds it reads.  A tolerance or region that the
+# command does not read is a config error, not silently ignored.  hemiball's
+# expected has no default: without it there is no verdict.
+_COMMANDS = {
+    "energy": _Command(_cmd_energy, {"rel_tol": 0.01}),
+    "transform": _Command(_cmd_transform, {"sigma": 1.0}, ("ball", "halfspace")),
+    "positivity": _Command(_cmd_positivity, {}, ("ball", "halfspace")),
+    "represent": _Command(_cmd_represent, {"rel_tol": 0.005}),
+    "symmetrize": _Command(_cmd_symmetrize, {"fit_error": 0.05}),
+    "hemiball": _Command(_cmd_hemiball, {"expected": None, "abs_tol": 1e-4}, ("ball",)),
+    "lizhu-check": _Command(_cmd_lizhu_check, {"cv_tol": 1e-3, "dev_tol": 1e-3}),
+    "counterexample": _Command(_cmd_counterexample, {}),
+    "sharp-constant": _Command(_cmd_sharp_constant, {}),
 }
-COMMANDS = tuple(_HANDLERS)
+COMMANDS = tuple(_COMMANDS)
 
 
 def run(config: RunConfig, out_dir: str, verbose: bool = False) -> int:
@@ -562,7 +546,7 @@ def run(config: RunConfig, out_dir: str, verbose: bool = False) -> int:
     rep.lines.append(f"command: {config.command} (N={config.dim}, lambda={_fmt(config.lam)})")
     os.makedirs(out_dir, exist_ok=True)
     try:
-        _HANDLERS[config.command](config, kp, rep, out_dir)
+        _COMMANDS[config.command].handler(config, kp, rep, out_dir)
     except (BracketingError, SearchFailureError, _NumericalFailure) as exc:
         rep.lines.append(f"NUMERICAL FAILURE: {exc}")
         rep.write(out_dir)

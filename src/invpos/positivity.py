@@ -106,8 +106,7 @@ def positivity_defect(region, f: Field, kp: KernelParams) -> PositivityReport:
     taken on that grid.  There the defect is <Theta g, g> from g's one
     transform by the mirror phase, and ``defect_via_g`` is the same form
     with Theta g as an explicit index flip: their agreement checks the
-    mirror phase against the flip, not a mirror cut off by the box, which
-    no longer occurs.  Balls and other planes take the splices,
+    mirror phase against the flip.  Balls and other planes take the splices,
     ``defect`` = (I[f^i] + I[f^o])/2 - I[f] and ``defect_via_g`` =
     I[Theta g, g], whose agreement also sees the splice lost where the image
     leaves the box.

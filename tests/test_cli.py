@@ -431,6 +431,9 @@ _SMALL_2D = dict(_SMALL, command="positivity", kernel={"dim": 2, "lambda": 1.0})
         pytest.param(dict(_SMALL, command="positivity", region={"ball": {"radius": 1e14}}), id="positivity-every-cell-at-the-center"),
         pytest.param(dict(_SMALL, command="transform", region={"ball": {"radius": 1e300}}), id="transform-radius-squared-overflows"),
         pytest.param(dict(_SMALL, command="positivity", region={"ball": {"radius": 1e300}}), id="positivity-radius-squared-overflows"),
+        pytest.param(dict(_SMALL, command="counterexample", kernel={"dim": 2, "lambda": 1.0}), id="counterexample-in-2d"),
+        pytest.param(dict(_SMALL, command="counterexample", kernel={"dim": 1, "lambda": 0.5}), id="counterexample-in-1d"),
+        pytest.param(dict(_SMALL, command="counterexample", kernel={"dim": 3, "lambda": 1.5}), id="counterexample-above-n-minus-two"),
     ],
 )
 def test_config_faults_exit_two_without_traceback(tmp_path, doc):
@@ -555,6 +558,50 @@ def test_tail_of_infinite_mass_exits_two_with_its_message(tmp_path, capsys, comm
     assert capsys.readouterr().err == f"config error: function: {density} of power <= 1/2 has infinite mass\n"
 
 
+@pytest.mark.parametrize(
+    "doc, csv_dim, message",
+    [
+        (dict(_SMALL, kernel={"dim": 2, "lambda": 1.5}), 1, "function.file holds a 1-D field, kernel.dim is 2"),
+        (dict(_SMALL, kernel={"dim": 3, "lambda": 2.5}), 1, "function.file holds a 1-D field, kernel.dim is 3"),
+        (dict(_SMALL_2D, region={"halfspace": {"offset": 0}}), 1, "function.file holds a 1-D field, kernel.dim is 2"),
+        (dict(_SMALL, command="transform", region={"ball": {"radius": 1.0}}), 2, "function.file holds a 2-D field, kernel.dim is 1"),
+    ],
+    ids=["energy-2d", "energy-3d", "positivity-2d", "transform-1d"],
+)
+def test_field_file_of_another_dimension_exits_two_with_its_message(tmp_path, capsys, doc, csv_dim, message):
+    # Read on its own grid, such a field would give a negative energy, a
+    # traceback or a failed verdict.
+    from invpos.fields import Field, box_grid, write_field_csv
+
+    g = box_grid([-4.0] * csv_dim, [4.0] * csv_dim, 32 if csv_dim == 1 else 16)
+    r2 = sum(x**2 for x in np.meshgrid(*(g.axis_centers(k) for k in range(csv_dim)), indexing="ij"))
+    write_field_csv(Field(g, np.exp(-r2)), tmp_path / "f.csv")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(doc, function={"file": str(tmp_path / "f.csv")})))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "config must be a JSON object"),
+        (json.dumps(dict(_SMALL, grid={"min": 8, "max": -8})), "grid.min must be strictly below grid.max on every axis"),
+        (json.dumps(dict(_SMALL, function={"file": 3})), "function.file must be a path string"),
+        (json.dumps(dict(_SMALL, function={"family": "gaussian", "width": "x"})), "function.width must be a number"),
+        (json.dumps(dict(_SMALL_2D, region={})), "region must hold exactly one of: ball, halfspace"),
+        (json.dumps(dict(_SMALL_2D, region={"sphere": {}})), "region must hold exactly one of: ball, halfspace"),
+        (json.dumps(dict(_SMALL_2D, region={"halfspace": {"offset": "x"}})), "region.halfspace.offset must be a number"),
+    ],
+    ids=["not-an-object", "min-above-max", "file-not-a-string", "width-not-a-number", "empty-region",
+         "unknown-region-kind", "offset-not-a-number"],
+)
+def test_parse_rejects_with_its_message(text, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert str(exc.value) == message
+
+
 def test_unread_tolerance_name_exits_two(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(_SMALL, tolerances={"rel_tl": 1e-9})))
@@ -583,11 +630,14 @@ _FUZZ_BASES = (
     {"command": "lizhu-check", "kernel": {"dim": 1, "lambda": 0.5}, "grid": {"min": -8, "max": 8, "points": 64},
      "function": {"family": "extremizer", "alpha": 2.0}},
     {"command": "sharp-constant", "kernel": {"dim": 3, "lambda": 1.0}},
+    {"command": "counterexample", "kernel": {"dim": 2, "lambda": 1.0}},
 )
-# "counterexample" searches fixed 40^3 and 128^2 x 16 grids whatever the
-# config says, and "symmetrize" runs up to 50 sweeps: both are too slow to
-# fuzz, so neither is a base nor a mutation target.
-_FUZZ_COMMANDS = ("energy", "transform", "positivity", "represent", "hemiball", "lizhu-check", "sharp-constant")
+# "symmetrize" runs up to 50 sweeps: it is too slow to fuzz, so it is neither
+# a base nor a mutation target.  "counterexample" exits 2 at once off its
+# domain (N = 3, lambda <= 1), where its base lies; in it, it searches fixed
+# grids that ``_cells`` counts, so the fuzz skips it there.
+_FUZZ_COMMANDS = ("energy", "transform", "positivity", "represent", "hemiball", "lizhu-check", "counterexample",
+                  "sharp-constant")
 _FUZZ_KEYS = ("command", "kernel", "grid", "function", "region", "tolerances", "seed", "dim", "lambda", "min",
               "max", "points", "family", "center", "width", "alpha", "beta", "amplitude", "lo", "hi", "ball",
               "halfspace", "radius", "normal", "offset", "file", "bogus")
@@ -636,11 +686,14 @@ def _mutate(doc: dict, data) -> None:
 
 
 def _cells(doc) -> int:
-    """Grid cells of a config that parses, else 0."""
+    """Grid cells that a config which parses runs on, else 0."""
     try:
         cfg = parse_config(json.dumps(doc))
     except ConfigError:
         return 0
+    if cfg.command == "counterexample":
+        # Its own 40^3 or 128^2 x 16 grid in its domain; off it, none.
+        return 40**3 if cfg.dim == 3 and cfg.lam <= 1.0 + 1e-12 else 0
     return int(np.prod(cfg.points)) if cfg.command != "sharp-constant" else 0
 
 
@@ -656,7 +709,8 @@ def test_cli_fuzzed_configs_exit_with_a_documented_code():
         for _ in range(edits):
             _mutate(doc, data)
         # At most 64 points per axis come from the value pool, but a mutated
-        # dim can still make a valid grid large; keep to 64^2 cells.
+        # dim can still make a valid grid large; keep to 64^2 cells.  This
+        # also skips counterexample in its domain.
         hypothesis.assume(_cells(doc) <= 64 ** 2)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "cfg.json")
